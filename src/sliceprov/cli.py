@@ -52,7 +52,8 @@ def _apply_overrides(scenario, variant, seed, max_impact, trials):
 
 
 def _variant_config(scenario, name, ordering, stat_mode, time_limit):
-    overrides = {"max_impact": scenario.max_impact}
+    # The scenario seed also seeds the QMC margin calibration.
+    overrides = {"max_impact": scenario.max_impact, "qmc": QmcConfig(seed=scenario.seed)}
     if ordering:
         overrides["ordering"] = ordering
     if stat_mode:

@@ -361,7 +361,11 @@ def run_scenario(scenario: Scenario, qmc: QmcConfig | None = None,
         )
         for repetition in range(scenario.repetitions):
             seed = scenario.seed + repetition
-            plan = provision(slices, graph, variant, background=background)
+            # Each repetition is an independent QMC replicate of the margins.
+            replicate = dataclasses.replace(
+                variant, qmc=dataclasses.replace(variant.qmc, seed=seed)
+            )
+            plan = provision(slices, graph, replicate, background=background)
             row = metrics(plan, graph, background, scenario.max_impact)
             report = ScenarioReport(
                 scenario=scenario.name,
@@ -386,10 +390,10 @@ def run_scenario(scenario: Scenario, qmc: QmcConfig | None = None,
                     estimate = plan_psp(
                         slice_plan.spec,
                         box,
-                        variant.qmc,
+                        replicate.qmc,
                         mc_trials=scenario.verify_trials,
                         seed=seed,
-                        iid_covariance=variant.iid_covariance,
+                        iid_covariance=replicate.iid_covariance,
                     )
                     slice_report.psp_qmc = estimate.qmc
                     slice_report.psp_qmc_error = estimate.qmc_error

@@ -256,22 +256,30 @@ def provision(
 
 def _provision_sequential(
     slices, graph, variant, targets, plans, node_reserves, link_reserves, result,
-    ordering=None,
+    ordering=None, standalone=None,
 ):
+    """Provision slice by slice, each step on the capacity left by the slices
+    accepted before it.  ``standalone`` optionally maps slice id -> (model,
+    SolveResult) of that slice solved on the untouched capacity; a step
+    reuses it while nothing has been consumed yet, since its model would be
+    the same."""
     consumed_node = {}
     consumed_link = {}
     for spec in order_slices(slices, ordering or variant.ordering):
-        model = milp.build_sequential_step(
-            spec,
-            graph,
-            targets[spec.id],
-            node_reserves,
-            link_reserves,
-            consumed_node=consumed_node,
-            consumed_link=consumed_link,
-        )
+        if standalone and spec.id in standalone and not consumed_node and not consumed_link:
+            model, res = standalone[spec.id]
+        else:
+            model = milp.build_sequential_step(
+                spec,
+                graph,
+                targets[spec.id],
+                node_reserves,
+                link_reserves,
+                consumed_node=consumed_node,
+                consumed_link=consumed_link,
+            )
+            res = solve_model(model, variant.solver)
         result.warnings.extend(model.warnings)
-        res = solve_model(model, variant.solver)
         result.solver_status[spec.id] = res.status
         result.node_count += res.node_count
         result.wall_time += res.wall_time
@@ -301,11 +309,13 @@ def _provision_joint(
     # solution, and the resulting rows make the joint relaxation nearly
     # exact when capacity coupling is loose.
     cost_floors = {}
+    standalone = {}
     for spec in slices:
         single = milp.build_sequential_step(
             spec, graph, targets[spec.id], node_reserves, link_reserves
         )
         res = solve_model(single, variant.solver)
+        standalone[spec.id] = (single, res)
         result.node_count += res.node_count
         result.wall_time += res.wall_time
         if res.assignment:
@@ -330,7 +340,7 @@ def _provision_joint(
         }
         _provision_sequential(
             slices, graph, seq_variant, targets, seq_plans,
-            node_reserves, link_reserves, seq_result,
+            node_reserves, link_reserves, seq_result, standalone=standalone,
         )
         warm = _assignment_from_plans(seq_plans)
     res = solve_model(model, variant.solver, warm_start=warm)

@@ -1,4 +1,4 @@
-"""Dense two-phase primal simplex for LPs with bounded variables.
+"""Dense bounded-variable simplex with cold and warm starts.
 
 Solves  minimize c'x  subject to  A x (<=, =, >=) b,  l <= x <= u.
 
@@ -9,6 +9,16 @@ their lower bound or down from their upper bound, and a ratio test can end in
 a bound flip instead of a basis exchange.  Dantzig pricing is used until a
 configurable run of degenerate pivots, after which Bland's rule guarantees
 termination.
+
+Without a starting basis, :func:`solve_lp` runs the two-phase primal method
+from a slack crash basis.  Given the optimal :class:`Basis` of an LP that
+differs only in its variable bounds (a branch-and-bound parent), it instead
+rebuilds the tableau from that basis with one factorization, recomputes the
+basic values from the new bounds and runs a bounded-variable dual simplex to
+primal feasibility: the parent's basis stays dual feasible, so no phase 1 is
+needed and an infeasible child is recognised by a row that no nonbasic column
+can repair.  A primal phase 2 then removes any dual infeasibility left by
+round-off; it stops at once when the basis is already optimal.
 """
 
 from __future__ import annotations
@@ -23,6 +33,23 @@ BASIC = 2
 
 _INF = np.inf
 
+# Largest deviation of B^-1 B from the identity accepted for a warm-start
+# basis; a worse factorization falls back to a cold solve.
+_FACTOR_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class Basis:
+    """A simplex basis over the columns ``[A | slacks | artificials]``.
+
+    ``basic[i]`` is the column basic in row i; ``status`` holds AT_LOWER,
+    AT_UPPER or BASIC for every column (n structural, then one slack and one
+    artificial per row).
+    """
+
+    basic: np.ndarray
+    status: np.ndarray
+
 
 @dataclass
 class LpResult:
@@ -30,37 +57,49 @@ class LpResult:
     objective: float = np.nan
     x: np.ndarray | None = None  # structural variables only
     iterations: int = 0
+    basis: Basis | None = None  # final basis of an optimal solve
 
 
 class _Tableau:
-    def __init__(self, A, b, lower, upper, slack_index, pivot_tol, degenerate_limit):
-        """``A`` already contains slack columns; ``slack_index[i]`` is the
-        slack column of row i.  Rows whose slack value is feasible at the
-        crash point start with the slack basic (no phase-1 work); only
-        violated rows receive an artificial column."""
-        m, n = A.shape
-        self.m, self.n = m, n
+    def __init__(self, T, basis, status, xB, lower, upper, pivot_tol, degenerate_limit):
+        self.m, self.ncols = T.shape
+        self.T = T
+        self.basis = basis
+        self.status = status
+        self.xB = xB
+        self.lower = lower
+        self.upper = upper
         self.pivot_tol = pivot_tol
         self.degenerate_limit = degenerate_limit
+        self.iterations = 0
+
+    @classmethod
+    def crash(cls, A, slack_sign, b, lower, upper, pivot_tol, degenerate_limit):
+        """Slack crash tableau over ``[A | diag(slack_sign) | artificials]``.
+        Rows whose slack value is feasible at the crash point start with the
+        slack basic (no phase-1 work); only violated rows receive an
+        artificial column."""
+        m = A.shape[0]
+        A = np.hstack([A, np.diag(slack_sign)])
+        n = A.shape[1]
+        slack_index = n - m + np.arange(m)
         x0 = np.where(np.isfinite(lower), lower, 0.0)
         x0[slack_index] = 0.0
         residual = b - A @ x0  # value the row-i basic column must absorb
-        slack_sign = A[np.arange(m), slack_index]  # +/-1
         slack_value = residual * slack_sign
         slack_ok = (slack_value >= -pivot_tol) & (
             slack_value <= upper[slack_index] + pivot_tol
         )
         # One artificial per infeasible row, signed so its basic value is >= 0.
-        self.ncols = n + m
-        self.lower = np.concatenate([lower, np.zeros(m)])
-        self.upper = np.concatenate([upper, np.zeros(m)])
-        self.upper[n:][~slack_ok] = _INF
+        lower_full = np.concatenate([lower, np.zeros(m)])
+        upper_full = np.concatenate([upper, np.zeros(m)])
+        upper_full[n:][~slack_ok] = _INF
         art_sign = np.where(residual < 0, -1.0, 1.0)
-        self.T = np.hstack([A, np.zeros((m, m))])
-        self.T[np.arange(m), n + np.arange(m)] = art_sign
-        self.status = np.full(self.ncols, AT_LOWER, dtype=np.int8)
-        self.basis = np.where(slack_ok, slack_index, n + np.arange(m))
-        self.xB = np.where(
+        T = np.hstack([A, np.zeros((m, m))])
+        T[np.arange(m), n + np.arange(m)] = art_sign
+        status = np.full(n + m, AT_LOWER, dtype=np.int8)
+        basis = np.where(slack_ok, slack_index, n + np.arange(m))
+        xB = np.where(
             slack_ok,
             np.clip(slack_value, 0.0, np.where(np.isfinite(upper[slack_index]),
                                                upper[slack_index], _INF)),
@@ -71,10 +110,47 @@ class _Tableau:
         row_scale = np.where(
             slack_ok, slack_sign, art_sign
         )
-        self.T *= row_scale[:, None]
-        self.status[self.basis] = BASIC
-        self.has_artificials = bool(np.any(~slack_ok))
-        self.iterations = 0
+        T *= row_scale[:, None]
+        status[basis] = BASIC
+        tab = cls(T, basis, status, xB, lower_full, upper_full, pivot_tol,
+                  degenerate_limit)
+        tab.has_artificials = bool(np.any(~slack_ok))
+        return tab
+
+    @classmethod
+    def from_basis(cls, A, slack_sign, b, lower, upper, start, pivot_tol,
+                   degenerate_limit):
+        """Tableau of ``start`` over ``[A | diag(slack_sign) | I]``
+        (artificials fixed at zero) from one factorization of its basis
+        matrix, with basic values recomputed from ``lower``/``upper``.
+        Returns None when the basis matrix is singular or too
+        ill-conditioned."""
+        m = A.shape[0]
+        A = np.hstack([A, np.diag(slack_sign)])
+        n = A.shape[1]
+        basic = np.array(start.basic)
+        if basic.shape != (m,) or np.shape(start.status) != (n + m,):
+            raise ValueError("starting basis does not match the LP dimensions")
+        try:
+            inv = np.linalg.inv(np.hstack([A, np.eye(m)])[:, basic])
+        except np.linalg.LinAlgError:
+            return None
+        T = np.hstack([inv @ A, inv])
+        identity = np.eye(m)
+        if not np.all(np.isfinite(T)) or (
+            m and np.abs(T[:, basic] - identity).max() > _FACTOR_TOL
+        ):
+            return None
+        T[:, basic] = identity
+        lower_full = np.concatenate([lower, np.zeros(m)])
+        upper_full = np.concatenate([upper, np.zeros(m)])
+        status = np.array(start.status, dtype=np.int8)
+        status[basic] = BASIC
+        tab = cls(T, basic, status, np.zeros(m), lower_full, upper_full,
+                  pivot_tol, degenerate_limit)
+        xN = tab.nonbasic_values()
+        tab.xB = inv @ (b - A @ xN[:n])
+        return tab
 
     def nonbasic_values(self):
         vals = np.where(self.status == AT_UPPER, self.upper, self.lower)
@@ -133,6 +209,20 @@ class _Tableau:
             limit_row = int(close[np.argmax(np.abs(d[close]))])
         return max(t_min, 0.0), limit_row, d
 
+    def _pivot(self, row, j, entering_value):
+        """Exchange the basic column of ``row`` for column ``j``, whose new
+        value is ``entering_value``; the leaving status is set by the caller."""
+        pivot = self.T[row, j]
+        self.T[row] /= pivot
+        col = self.T[:, j].copy()
+        col[row] = 0.0
+        # Tableau columns stay sparse: update only the rows the pivot touches.
+        rows = np.flatnonzero(col)
+        self.T[rows] -= col[rows, None] * self.T[row]
+        self.basis[row] = j
+        self.status[j] = BASIC
+        self.xB[row] = entering_value
+
     def step(self, c, bland):
         rc = self._price(c)
         j, direction = self._choose_entering(rc, bland)
@@ -154,14 +244,7 @@ class _Tableau:
             self.status[leaving] = AT_LOWER
         else:
             self.status[leaving] = AT_UPPER
-        pivot = self.T[row, j]
-        self.T[row] /= pivot
-        col = self.T[:, j].copy()
-        col[row] = 0.0
-        self.T -= np.outer(col, self.T[row])
-        self.basis[row] = j
-        self.status[j] = BASIC
-        self.xB[row] = entering_value
+        self._pivot(row, j, entering_value)
         return "pivot" if t > self.pivot_tol else "degenerate"
 
     def run(self, c, iteration_limit):
@@ -182,6 +265,70 @@ class _Tableau:
                 degenerate_run = 0
         return "iteration_limit"
 
+    def dual_step(self, c, feas_tol, bland):
+        """One dual simplex pivot: the most violated basic leaves at the bound
+        it violates, and the entering column is the one whose reduced cost
+        reaches zero first along that row (dual ratio test)."""
+        lower_b = self.lower[self.basis]
+        upper_b = self.upper[self.basis]
+        below = lower_b - self.xB
+        violation = np.maximum(below, self.xB - upper_b)
+        rows = np.where(violation > feas_tol)[0]
+        if rows.size == 0:
+            return "feasible"
+        if bland:
+            row = int(rows[np.argmin(self.basis[rows])])
+        else:
+            row = int(rows[np.argmax(violation[rows])])
+        to_lower = below[row] > 0
+        # x_B[row] moves by -alpha_j * delta_j when nonbasic x_j moves by
+        # delta_j (positive from its lower bound, negative from its upper);
+        # a column is eligible when its move pushes x_B[row] back in bounds.
+        alpha = self.T[row]
+        direction = np.where(self.status == AT_UPPER, -1.0, 1.0)
+        push = alpha * direction * (-1.0 if to_lower else 1.0)
+        eligible = np.where(
+            (self.status != BASIC)
+            & (self.upper - self.lower > 0)
+            & (push > self.pivot_tol)
+        )[0]
+        if eligible.size == 0:
+            return "infeasible"
+        rc = c[eligible] - c[self.basis] @ self.T[:, eligible]
+        # Dual feasibility makes rc * direction >= 0; clip round-off.
+        ratios = np.maximum(rc * direction[eligible], 0.0) / push[eligible]
+        t = ratios.min()
+        close = eligible[ratios <= t + 1e-12]
+        if bland:
+            j = int(close[0])
+        else:
+            j = int(close[np.argmax(np.abs(alpha[close]))])
+        target = lower_b[row] if to_lower else upper_b[row]
+        delta = (self.xB[row] - target) / alpha[j]
+        start_value = self.upper[j] if self.status[j] == AT_UPPER else self.lower[j]
+        if not np.isfinite(start_value):
+            start_value = 0.0
+        self.xB -= delta * self.T[:, j]
+        self.status[self.basis[row]] = AT_LOWER if to_lower else AT_UPPER
+        self._pivot(row, j, start_value + delta)
+        return "pivot" if t > self.pivot_tol else "degenerate"
+
+    def dual_run(self, c, feas_tol, iteration_limit):
+        degenerate_run = 0
+        bland = False
+        while self.iterations < iteration_limit:
+            outcome = self.dual_step(c, feas_tol, bland)
+            if outcome in ("feasible", "infeasible"):
+                return outcome
+            self.iterations += 1
+            if outcome == "degenerate":
+                degenerate_run += 1
+                if degenerate_run >= self.degenerate_limit:
+                    bland = True
+            else:
+                degenerate_run = 0
+        return "iteration_limit"
+
 
 def solve_lp(
     A,
@@ -192,12 +339,17 @@ def solve_lp(
     upper,
     pivot_tol=1e-9,
     feas_tol=1e-7,
+    basis: Basis | None = None,
 ):
     """Minimize c'x subject to row relations and variable bounds.
 
     ``relations`` is a sequence of "<=", "=", ">=" per row.  Rows are
     normalized to equalities by adding slack columns with the appropriate
-    bounds, then solved with a two-phase method using artificial columns.
+    bounds.  Without ``basis`` the LP is solved with a two-phase method using
+    artificial columns; with the :class:`Basis` of an optimal solve of the
+    same rows and objective under other bounds, it is re-solved by the dual
+    simplex from that basis (falling back to the cold path when the basis
+    is singular).  An optimal result carries its final basis.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -205,54 +357,54 @@ def solve_lp(
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     m, n = A.shape
-    slack_cols = []
-    slack_lower = []
-    slack_upper = []
+    slack_sign = np.ones(m)
+    slack_upper = np.full(m, _INF)
     for i, rel in enumerate(relations):
-        col = np.zeros(m)
-        if rel == "<=":
-            col[i] = 1.0
-            slack_upper.append(_INF)
-        elif rel == ">=":
-            col[i] = -1.0
-            slack_upper.append(_INF)
+        if rel == ">=":
+            slack_sign[i] = -1.0
         elif rel == "=":
-            col[i] = 1.0
-            slack_upper.append(0.0)
-        else:
+            slack_upper[i] = 0.0
+        elif rel != "<=":
             raise ValueError(f"unknown relation {rel!r}")
-        slack_lower.append(0.0)
-        slack_cols.append(col)
-    A_full = np.hstack([A, np.column_stack(slack_cols)]) if slack_cols else A
-    lower_full = np.concatenate([lower, slack_lower])
+    lower_full = np.concatenate([lower, np.zeros(m)])
     upper_full = np.concatenate([upper, slack_upper])
-    n_full = A_full.shape[1]
-    slack_index = n + np.arange(m)
-
-    tab = _Tableau(
-        A_full, b, lower_full, upper_full, slack_index, pivot_tol,
-        degenerate_limit=10 * n_full,
-    )
+    n_full = n + m
+    degenerate_limit = 10 * n_full
     iteration_limit = 2000 * (m + n_full)
-
-    if tab.has_artificials:
-        # Phase 1: drive the artificial columns to zero.
-        c1 = np.zeros(tab.ncols)
-        c1[n_full:] = 1.0
-        status = tab.run(c1, iteration_limit)
-        if status == "iteration_limit":
-            raise RuntimeError("simplex iteration limit exceeded in phase 1")
-        infeasibility = float(np.sum(tab.solution()[n_full:]))
-        if infeasibility > feas_tol * (1.0 + abs(b).max(initial=0.0)):
-            return LpResult(status="infeasible", iterations=tab.iterations)
-
-    # Phase 2: pin artificials at zero and optimize the true objective.
-    # Basic artificials may linger at a sub-tolerance value; snap them to 0.
-    tab.upper[n_full:] = 0.0
-    artificial_basic = tab.basis >= n_full
-    tab.xB[artificial_basic] = 0.0
-    c2 = np.zeros(tab.ncols)
+    c2 = np.zeros(n_full + m)
     c2[:n] = c
+
+    tab = None
+    if basis is not None:
+        tab = _Tableau.from_basis(
+            A, slack_sign, b, lower_full, upper_full, basis, pivot_tol,
+            degenerate_limit,
+        )
+    if tab is not None:
+        status = tab.dual_run(c2, feas_tol, iteration_limit)
+        if status == "iteration_limit":
+            raise RuntimeError("simplex iteration limit exceeded in the dual phase")
+        if status == "infeasible":
+            return LpResult(status="infeasible", iterations=tab.iterations)
+    else:
+        tab = _Tableau.crash(
+            A, slack_sign, b, lower_full, upper_full, pivot_tol, degenerate_limit
+        )
+        if tab.has_artificials:
+            # Phase 1: drive the artificial columns to zero.
+            c1 = np.zeros(tab.ncols)
+            c1[n_full:] = 1.0
+            status = tab.run(c1, iteration_limit)
+            if status == "iteration_limit":
+                raise RuntimeError("simplex iteration limit exceeded in phase 1")
+            infeasibility = float(np.sum(tab.solution()[n_full:]))
+            if infeasibility > feas_tol * (1.0 + abs(b).max(initial=0.0)):
+                return LpResult(status="infeasible", iterations=tab.iterations)
+        # Pin artificials at zero for phase 2.  Basic artificials may linger
+        # at a sub-tolerance value; snap them to 0.
+        tab.upper[n_full:] = 0.0
+        tab.xB[tab.basis >= n_full] = 0.0
+
     status = tab.run(c2, iteration_limit)
     if status == "iteration_limit":
         raise RuntimeError("simplex iteration limit exceeded in phase 2")
@@ -264,4 +416,5 @@ def solve_lp(
         objective=float(c @ x[:n]),
         x=x[:n].copy(),
         iterations=tab.iterations,
+        basis=Basis(basic=tab.basis.copy(), status=tab.status.copy()),
     )

@@ -2,7 +2,10 @@
 
 The LP relaxations are handled by the bounded-variable simplex in
 ``simplex``; integrality is enforced by best-first branch and bound with
-most-fractional branching.  Models can be exported to and re-imported from
+most-fractional branching.  Each node solves one LP: the root cold, and every
+child, which differs from its parent in one variable bound, by the dual
+simplex from the parent's optimal basis (a pair of small integer arrays kept
+on the heap entry).  Models can be exported to and re-imported from
 the widely used CPLEX LP text format, and externally produced assignments can
 be validated and scored with :func:`import_solution`.
 """
@@ -129,34 +132,28 @@ def solve_model(model: MilpModel, config: SolverConfig | None = None,
     best_bound = math.inf
     heap = []
 
-    def push(bound, depth, lo, hi):
+    def push(bound, depth, lo, hi, basis):
         nonlocal counter
-        heapq.heappush(heap, (-bound, -depth, counter, lo, hi))
+        heapq.heappush(heap, (-bound, -depth, counter, lo, hi, basis))
         counter += 1
 
-    root = solve_lp(A, b, relations, c_min, lower, upper,
-                    pivot_tol=config.lp_pivot_tolerance)
-    node_count += 1
-    if root.status == "infeasible":
-        if incumbent is None:
-            return SolveResult(status="infeasible", node_count=node_count,
-                               wall_time=time.monotonic() - start)
-    else:
-        push(-root.objective, 0, lower, upper)
+    # The root is the first node popped; it has no parent basis, so its LP
+    # is solved cold.  Every child re-solves from its parent's optimal basis.
+    push(math.inf, 0, lower, upper, None)
 
     hit_limit = False
     while heap:
         if out_of_time() or (config.node_limit is not None and node_count >= config.node_limit):
             hit_limit = True
             break
-        neg_bound, neg_depth, _, lo, hi = heapq.heappop(heap)
+        neg_bound, neg_depth, _, lo, hi, parent_basis = heapq.heappop(heap)
         bound = -neg_bound
         depth = -neg_depth
         tol_abs = config.gap_tolerance * max(1.0, abs(incumbent_obj))
         if bound <= incumbent_obj + tol_abs:
             continue
         res = solve_lp(A, b, relations, c_min, lo, hi,
-                       pivot_tol=config.lp_pivot_tolerance)
+                       pivot_tol=config.lp_pivot_tolerance, basis=parent_basis)
         node_count += 1
         if res.status != "optimal":
             continue
@@ -200,7 +197,7 @@ def solve_model(model: MilpModel, config: SolverConfig | None = None,
         if x[j] - floor_v >= 0.5:
             children.reverse()  # explore the rounding direction first
         for lo_c, hi_c in children:
-            push(bound, depth + 1, lo_c, hi_c)
+            push(bound, depth + 1, lo_c, hi_c, res.basis)
 
     if heap:
         best_bound = max(-item[0] for item in heap)

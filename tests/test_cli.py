@@ -1,6 +1,7 @@
 import yaml
 from click.testing import CliRunner
 
+from sliceprov import planner
 from sliceprov.cli import main
 from sliceprov.solver import parse_lp
 
@@ -51,6 +52,25 @@ def test_provision_writes_csvs(tmp_path):
     assert plan[0] == "scenario,variant,slice,kind,element,virtual,count"
     assert len(plan) > 1  # the accepted slice placed at least one instance
     assert "earnings=" in result.output
+
+
+def test_provision_seed_reaches_margin_calibration(tmp_path, monkeypatch):
+    seeds = []
+    find_gamma_s = planner.find_gamma_s
+
+    def recording_find_gamma_s(spec, cfg, *args, **kwargs):
+        seeds.append(cfg.seed)
+        return find_gamma_s(spec, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(planner, "find_gamma_s", recording_find_gamma_s)
+    monkeypatch.setattr(planner, "_GAMMA_CACHE", {})
+    result = CliRunner().invoke(
+        main,
+        ["provision", "--scenario", str(write_scenario(tmp_path)),
+         "--seed", "3", "--out", str(tmp_path / "out")],
+    )
+    assert result.exit_code == 0, result.output
+    assert seeds == [3]
 
 
 def test_provision_unknown_scenario_exits_with_usage_error():

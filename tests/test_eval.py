@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sliceprov import planner
 from sliceprov.demand import BackgroundModel
 from sliceprov.evaluation import (
     IMPACT_SWEEP_GRID,
@@ -18,6 +19,7 @@ from sliceprov.evaluation import (
     builtin_scenarios,
     emit_report,
     metrics,
+    run_scenario,
     scenario_by_name,
     verify_by_simulation,
     wilson_interval,
@@ -25,7 +27,7 @@ from sliceprov.evaluation import (
 from sliceprov.planner import ProvisioningPlan, SlicePlan
 from sliceprov.probability import DemandBox
 
-from _helpers import chain_spec
+from _helpers import FAST_QMC, chain_spec, micro_spec
 
 
 def test_builtin_scenario_names():
@@ -176,3 +178,26 @@ def test_emit_report_slice_stream_and_nan():
     assert lines[1].endswith(",,,,")
     assert "nan" not in slice_stream.getvalue()
     assert math.isnan(_report().slices[0].psp_qmc)
+
+
+def test_repetitions_are_independent_qmc_replicates(monkeypatch):
+    seeds = []
+    find_gamma_s = planner.find_gamma_s
+
+    def recording_find_gamma_s(spec, cfg, *args, **kwargs):
+        seeds.append(cfg.seed)
+        return find_gamma_s(spec, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(planner, "find_gamma_s", recording_find_gamma_s)
+    monkeypatch.setattr(planner, "_GAMMA_CACHE", {})
+    scenario = Scenario(
+        name="replicates",
+        mix=(("micro", 1, None),),
+        variants=("SP",),
+        seed=7,
+        repetitions=2,
+        extra_types=(("micro", micro_spec(income=500.0)),),
+    )
+    reports = run_scenario(scenario, qmc=FAST_QMC)
+    assert seeds == [7, 8]
+    assert [r.seed for r in reports] == [7, 8]

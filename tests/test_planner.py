@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from sliceprov import planner
 from sliceprov.demand import BackgroundModel
 from sliceprov.planner import (
     ProvisioningPlan,
@@ -132,6 +133,32 @@ def test_joint_dominates_sequential_on_small_instance():
     assert jp.solver_status["joint"] == "optimal"
     assert jp.earnings >= sp.earnings - 1e-6
     assert set(jp.accepted_ids) <= {"s1", "s2"}
+
+
+def test_joint_path_reuses_the_first_stand_alone_solve(monkeypatch):
+    solved = []
+    solve_model = planner.solve_model
+
+    def counting_solve_model(model, *args, **kwargs):
+        solved.append(sorted(model.variables))
+        return solve_model(model, *args, **kwargs)
+
+    monkeypatch.setattr(planner, "solve_model", counting_solve_model)
+    graph = default_graph()
+    slices = [
+        micro_spec(slice_id="s1", income=400.0),
+        micro_spec(slice_id="s2", income=300.0),
+    ]
+    plan = provision(slices, graph, fast_variant("JP"))
+    assert plan.solver_status["joint"] == "optimal"
+    assert "s1" in plan.accepted_ids
+    # Two stand-alone cost-floor solves; the warm-start pass reuses the one
+    # of s1 (nothing consumed yet) and solves s2 on the remaining capacity;
+    # then the joint model.
+    assert len(solved) == 4
+    assert solved[0] != solved[1]
+    assert solved[2] == solved[1]
+    assert len(solved[3]) == len(solved[0]) + len(solved[1])
 
 
 def test_plan_aggregates_provisioned_amounts():

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from sliceprov import solver as solver_module
 from sliceprov.milp import MilpModel, MilpVariable, make_constraint
-from sliceprov.simplex import solve_lp
+from sliceprov.simplex import Basis, solve_lp
 from sliceprov.solver import (
     SolverConfig,
     export_lp,
@@ -87,9 +88,11 @@ def test_simplex_unbounded():
     assert res.status == "unbounded"
 
 
-def test_simplex_matches_reference_solver_on_random_lps():
+def _random_bounded_lps(count=150):
+    """Small random LPs with integer data, bounded variables and mixed row
+    relations, some of them infeasible."""
     rng = np.random.default_rng(42)
-    for trial in range(150):
+    for _ in range(count):
         m = int(rng.integers(1, 6))
         n = int(rng.integers(1, 7))
         A = rng.integers(-3, 4, size=(m, n)).astype(float)
@@ -99,42 +102,101 @@ def test_simplex_matches_reference_solver_on_random_lps():
         relations = [rng.choice(["<=", ">=", "="]) for _ in range(m)]
         x0 = rng.uniform(lower, upper)
         b = A @ x0 + rng.integers(-1, 2, size=m)
+        yield A, b, relations, c, lower, upper
 
-        ours = solve_lp(A, b, relations, c, lower, upper)
-        A_ub, b_ub, A_eq, b_eq = [], [], [], []
-        for row, rhs, rel in zip(A, b, relations):
-            if rel == "<=":
-                A_ub.append(row); b_ub.append(rhs)
-            elif rel == ">=":
-                A_ub.append(-row); b_ub.append(-rhs)
-            else:
-                A_eq.append(row); b_eq.append(rhs)
-        ref = linprog(
-            c,
-            A_ub=np.array(A_ub) if A_ub else None,
-            b_ub=np.array(b_ub) if b_ub else None,
-            A_eq=np.array(A_eq) if A_eq else None,
-            b_eq=np.array(b_eq) if b_eq else None,
-            bounds=list(zip(lower, upper)),
-            method="highs",
-        )
-        if ref.status == 2:
-            assert ours.status == "infeasible", f"trial {trial}"
+
+def _check_against_reference(ours, A, b, relations, c, lower, upper, label):
+    A_ub, b_ub, A_eq, b_eq = [], [], [], []
+    for row, rhs, rel in zip(A, b, relations):
+        if rel == "<=":
+            A_ub.append(row); b_ub.append(rhs)
+        elif rel == ">=":
+            A_ub.append(-row); b_ub.append(-rhs)
         else:
-            assert ref.status == 0
-            assert ours.status == "optimal", f"trial {trial}"
-            assert ours.objective == pytest.approx(ref.fun, abs=1e-6), f"trial {trial}"
-            # Returned point must actually be feasible.
-            assert np.all(ours.x >= lower - 1e-7)
-            assert np.all(ours.x <= upper + 1e-7)
-            lhs = A @ ours.x
-            for value, rhs, rel in zip(lhs, b, relations):
-                if rel == "<=":
-                    assert value <= rhs + 1e-6
-                elif rel == ">=":
-                    assert value >= rhs - 1e-6
-                else:
-                    assert value == pytest.approx(rhs, abs=1e-6)
+            A_eq.append(row); b_eq.append(rhs)
+    ref = linprog(
+        c,
+        A_ub=np.array(A_ub) if A_ub else None,
+        b_ub=np.array(b_ub) if b_ub else None,
+        A_eq=np.array(A_eq) if A_eq else None,
+        b_eq=np.array(b_eq) if b_eq else None,
+        bounds=list(zip(lower, upper)),
+        method="highs",
+    )
+    if ref.status == 2:
+        assert ours.status == "infeasible", label
+        return
+    assert ref.status == 0
+    assert ours.status == "optimal", label
+    assert ours.objective == pytest.approx(ref.fun, abs=1e-6), label
+    # Returned point must actually be feasible.
+    assert np.all(ours.x >= lower - 1e-7), label
+    assert np.all(ours.x <= upper + 1e-7), label
+    lhs = A @ ours.x
+    for value, rhs, rel in zip(lhs, b, relations):
+        if rel == "<=":
+            assert value <= rhs + 1e-6, label
+        elif rel == ">=":
+            assert value >= rhs - 1e-6, label
+        else:
+            assert value == pytest.approx(rhs, abs=1e-6), label
+
+
+def test_simplex_matches_reference_solver_on_random_lps():
+    for trial, lp in enumerate(_random_bounded_lps()):
+        _check_against_reference(solve_lp(*lp), *lp, f"trial {trial}")
+
+
+def test_warm_start_from_parent_basis_matches_cold_and_reference():
+    # Branch on the most fractional variable of each random LP (or its first
+    # variable when none is fractional) and re-solve both children from the
+    # parent's optimal basis and from scratch.
+    warm_iterations = cold_iterations = children = infeasible = 0
+    for trial, (A, b, relations, c, lower, upper) in enumerate(_random_bounded_lps()):
+        parent = solve_lp(A, b, relations, c, lower, upper)
+        if parent.status != "optimal":
+            continue
+        assert parent.basis is not None
+        k = int(np.argmax(np.abs(parent.x - np.round(parent.x))))
+        value = parent.x[k]
+        bounds = []
+        if np.floor(value) >= lower[k]:
+            hi = upper.copy()
+            hi[k] = np.floor(value)
+            bounds.append((lower, hi))
+        if np.ceil(value) <= upper[k]:
+            lo = lower.copy()
+            lo[k] = np.ceil(value)
+            bounds.append((lo, upper))
+        for side, (lo, hi) in enumerate(bounds):
+            label = f"trial {trial} child {side}"
+            warm = solve_lp(A, b, relations, c, lo, hi, basis=parent.basis)
+            cold = solve_lp(A, b, relations, c, lo, hi)
+            _check_against_reference(warm, A, b, relations, c, lo, hi, label)
+            _check_against_reference(cold, A, b, relations, c, lo, hi, label)
+            warm_iterations += warm.iterations
+            cold_iterations += cold.iterations
+            children += 1
+            infeasible += warm.status == "infeasible"
+    assert children > 150 and infeasible > 0
+    assert warm_iterations <= cold_iterations
+
+
+def test_warm_start_falls_back_to_cold_on_singular_basis():
+    A = np.array([[1.0, 2.0], [2.0, 4.0]])
+    b = np.array([4.0, 9.0])
+    c = np.array([-1.0, -1.0])
+    lower, upper = np.zeros(2), np.array([3.0, 3.0])
+    cold = solve_lp(A, b, ["<=", "<="], c, lower, upper)
+    # Both structural columns basic: [1, 2] and [2, 4] are collinear.
+    singular = Basis(basic=np.array([0, 1]),
+                     status=np.array([2, 2, 0, 0, 0, 0], dtype=np.int8))
+    warm = solve_lp(A, b, ["<=", "<="], c, lower, upper, basis=singular)
+    assert warm.status == cold.status == "optimal"
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+    with pytest.raises(ValueError):
+        solve_lp(A, b, ["<=", "<="], c, lower, upper,
+                 basis=Basis(basic=np.array([0]), status=singular.status))
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +256,32 @@ def test_bnb_warm_start_used_and_validated():
     bad = {"x1": 1, "x2": 1, "x3": 1}
     res = solve_model(model, warm_start=bad)
     assert res.objective == pytest.approx(16.0)
+
+
+@pytest.mark.parametrize(
+    "make_model", [_knapsack_model, lambda: _mixed_model()], ids=["knapsack", "mixed"]
+)
+def test_bnb_solves_each_node_lp_once(monkeypatch, make_model):
+    calls = []
+
+    def counting_solve_lp(A, b, relations, c, lower, upper, **kwargs):
+        calls.append((lower.tobytes() + upper.tobytes(), kwargs.get("basis")))
+        return solve_lp(A, b, relations, c, lower, upper, **kwargs)
+
+    monkeypatch.setattr(solver_module, "solve_lp", counting_solve_lp)
+    res = solve_model(make_model())
+    assert res.status == "optimal"
+    assert len(calls) == res.node_count
+    # No node (the root included) is solved twice; only the root is solved
+    # cold, every child starts from its parent's basis.
+    assert len({bounds for bounds, _ in calls}) == len(calls)
+    assert calls[0][1] is None
+    assert all(basis is not None for _, basis in calls[1:])
+
+    calls.clear()
+    res = solve_model(make_model(), SolverConfig(node_limit=1))
+    assert len(calls) == res.node_count == 1
+    assert res.assignment
 
 
 def test_bnb_node_limit_reports_gap():

@@ -3,6 +3,13 @@
 Scenario inputs are either builtin names (``sliceprov provision --scenario
 mix-2``) or YAML files following the schema documented in
 :mod:`sliceprov.config`.  All commands are deterministic under a fixed seed.
+
+The commands hold no provisioning logic of their own: ``provision`` runs
+:func:`sliceprov.evaluation.run_scenario` (one report row per variant and
+repetition, PSP estimates when ``--trials`` is set), ``export-lp`` writes the
+models of :func:`sliceprov.planner.sequential_steps` or
+:func:`sliceprov.planner.joint_model`, and ``verify`` checks a
+:func:`sliceprov.planner.provision` plan by simulation.
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ import numpy as np
 from . import config as config_mod
 from . import evaluation, planner
 from .demand import slice_catalog
-from .milp import build_joint, build_sequential_step
 from .probability import QmcConfig, find_gamma_s, psp_of_box, targets_for_gamma
 from .solver import SolverConfig, export_lp
 
@@ -51,17 +57,12 @@ def _apply_overrides(scenario, variant, seed, max_impact, trials):
     return scenario
 
 
-def _variant_config(scenario, name, ordering, stat_mode, time_limit):
+def _variant_config(scenario, name):
     # The scenario seed also seeds the QMC margin calibration.
-    overrides = {"max_impact": scenario.max_impact, "qmc": QmcConfig(seed=scenario.seed)}
-    if ordering:
-        overrides["ordering"] = ordering
-    if stat_mode:
-        overrides["stat_mode"] = stat_mode
-    if time_limit:
-        overrides["solver"] = SolverConfig(time_limit=time_limit)
     try:
-        return planner.variant_from_name(name, **overrides)
+        return planner.variant_from_name(
+            name, max_impact=scenario.max_impact, qmc=QmcConfig(seed=scenario.seed)
+        )
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
@@ -101,41 +102,18 @@ def provision(scenario_token, variant, seed, out_dir, max_impact, ordering,
     except config_mod.ConfigError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
+    for name in scenario.variants:
+        _variant_config(scenario, name)  # an unknown variant fails before any solve
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    graph = scenario.build_graph()
-    background = scenario.build_background(graph)
-    slices = scenario.build_slices()
-    reports = []
-    plan_rows = []
-    timed_out = False
-    for name in scenario.variants:
-        variant_cfg = _variant_config(scenario, name, ordering, stat_mode, time_limit)
-        plan = planner.provision(slices, graph, variant_cfg, background=background)
-        if "timeout" in plan.solver_status.values():
-            timed_out = True
-        row = evaluation.metrics(plan, graph, background, scenario.max_impact)
-        report = evaluation.ScenarioReport(
-            scenario=scenario.name, variant=name, repetition=0, seed=scenario.seed,
-            max_impact=scenario.max_impact, solver_gap=plan.gap,
-            wall_time=plan.wall_time, **row,
-        )
-        for sid in sorted(plan.slices):
-            slice_plan = plan.slices[sid]
-            report.slices.append(
-                evaluation.SliceReport(
-                    slice_id=sid, accepted=slice_plan.accepted,
-                    gamma=slice_plan.gamma, cost=slice_plan.cost,
-                )
-            )
-            for (node_id, vnf), count in sorted(slice_plan.node_counts.items()):
-                plan_rows.append((scenario.name, name, sid, "node", node_id, vnf, count))
-            for ((src, dst), (vs, vd)), count in sorted(slice_plan.link_counts.items()):
-                plan_rows.append(
-                    (scenario.name, name, sid, "link", f"{src}->{dst}", f"{vs}->{vd}", count)
-                )
-        reports.append(report)
+    overrides = {}
+    if ordering:
+        overrides["ordering"] = ordering
+    if stat_mode:
+        overrides["stat_mode"] = stat_mode
+    if time_limit:
+        overrides["solver"] = SolverConfig(time_limit=time_limit)
+    reports = evaluation.run_scenario(scenario, **overrides)
 
     with open(out / "report.csv", "w", encoding="utf-8") as rep, \
             open(out / "slices.csv", "w", encoding="utf-8") as sli:
@@ -143,15 +121,20 @@ def provision(scenario_token, variant, seed, out_dir, max_impact, ordering,
                                slice_stream=sli)
     with open(out / "plan.csv", "w", encoding="utf-8") as handle:
         handle.write("scenario,variant,slice,kind,element,virtual,count\n")
-        for row in plan_rows:
-            handle.write(",".join(str(v) for v in row) + "\n")
+        for report in reports:
+            for sid, slice_plan in sorted(report.plan.slices.items()):
+                prefix = f"{report.scenario},{report.variant},{sid}"
+                for (node_id, vnf), count in sorted(slice_plan.node_counts.items()):
+                    handle.write(f"{prefix},node,{node_id},{vnf},{count}\n")
+                for ((src, dst), (vs, vd)), count in sorted(slice_plan.link_counts.items()):
+                    handle.write(f"{prefix},link,{src}->{dst},{vs}->{vd},{count}\n")
     for report in reports:
         click.echo(
             f"{report.scenario} {report.variant}: earnings={report.total_earnings:.3f} "
             f"cost={report.provisioning_cost:.3f} acceptance={report.acceptance_rate:.2f} "
             f"impacted nodes/links={report.impacted_node_count}/{report.impacted_link_count}"
         )
-    if timed_out:
+    if any("timeout" in r.plan.solver_status.values() for r in reports):
         click.echo("warning: at least one solve hit the time limit; outputs are "
                    "partial/bound-gapped", err=True)
         sys.exit(EXIT_TIMEOUT)
@@ -200,56 +183,24 @@ def export_lp_cmd(scenario_token, variant, out_dir, seed):
     except config_mod.ConfigError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    variant_cfg = _variant_config(scenario, variant, None, None, None)
+    variant_cfg = _variant_config(scenario, variant)
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     graph = scenario.build_graph()
     background = scenario.build_background(graph)
     slices = scenario.build_slices()
-    targets = {}
-    for spec in slices:
-        gamma = planner.calibrate_gamma(spec, variant_cfg)
-        targets[spec.id] = targets_for_gamma(
-            spec, gamma, stat_mode=variant_cfg.stat_mode,
-            iid_covariance=variant_cfg.iid_covariance,
-        )
-    node_reserves, link_reserves = planner._reserves(variant_cfg, background)
-    written = []
+    stem = f"{scenario.name}-{variant_cfg.name}"
     if variant_cfg.mode == "joint":
-        model = build_joint(slices, graph, targets, node_reserves, link_reserves)
-        path = out / f"{scenario.name}-{variant_cfg.name}.lp"
-        path.write_text(export_lp(model), encoding="utf-8")
-        written.append(path)
+        models = [(f"{stem}.lp", planner.joint_model(slices, graph, variant_cfg, background))]
     else:
-        plan = planner.provision(slices, graph, variant_cfg, background=background)
-        consumed_node = {}
-        consumed_link = {}
-        for step, spec in enumerate(
-            planner.order_slices(slices, variant_cfg.ordering)
-        ):
-            model = build_sequential_step(
-                spec, graph, targets[spec.id], node_reserves, link_reserves,
-                consumed_node=consumed_node, consumed_link=consumed_link,
-            )
-            path = out / f"{scenario.name}-{variant_cfg.name}-step{step}-{spec.id}.lp"
-            path.write_text(export_lp(model), encoding="utf-8")
-            written.append(path)
-            slice_plan = plan.slices[spec.id]
-            if slice_plan.accepted:
-                for (node_id, vnf_name), count in slice_plan.node_counts.items():
-                    req = next(
-                        v for v in spec.sfc.vnfs if v.name == vnf_name
-                    ).requirement
-                    for rtype, amount in zip("cmw", req.as_tuple()):
-                        if amount:
-                            key = (node_id, rtype)
-                            consumed_node[key] = consumed_node.get(key, 0.0) + amount * count
-                for (key, vlink_key), count in slice_plan.link_counts.items():
-                    vl = next(
-                        v for v in spec.sfc.vlinks if (v.src, v.dst) == vlink_key
-                    )
-                    consumed_link[key] = consumed_link.get(key, 0.0) + vl.bandwidth * count
-    for path in written:
+        steps = planner.sequential_steps(slices, graph, variant_cfg, background)
+        models = (
+            (f"{stem}-step{step}-{spec.id}.lp", model)
+            for step, (spec, model, _) in enumerate(steps)
+        )
+    for filename, model in models:
+        path = out / filename
+        path.write_text(export_lp(model), encoding="utf-8")
         click.echo(str(path))
     sys.exit(EXIT_OK)
 
@@ -266,14 +217,13 @@ def verify(scenario_token, variant, trials, seed):
     except config_mod.ConfigError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    variant_cfg = _variant_config(scenario, variant, None, None, None)
+    variant_cfg = _variant_config(scenario, variant)
     graph = scenario.build_graph()
     background = scenario.build_background(graph)
     slices = scenario.build_slices()
     plan = planner.provision(slices, graph, variant_cfg, background=background)
     outcome = evaluation.verify_by_simulation(
-        plan, graph, background, trials=trials, seed=scenario.seed,
-        iid_covariance=variant_cfg.iid_covariance,
+        plan, graph, background, trials=trials, seed=scenario.seed
     )
     for sid, (value, (low, high)) in sorted(outcome["psp"].items()):
         required = plan.slices[sid].spec.required_psp

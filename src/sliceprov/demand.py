@@ -3,7 +3,7 @@ aggregate (compound) demand, and background best-effort load."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -52,6 +52,13 @@ class SfcGraph:
             if v.name == name:
                 return v
         raise KeyError(name)
+
+    def vlink(self, key) -> VLink:
+        """The virtual link with (src, dst) == ``key``."""
+        for vl in self.vlinks:
+            if (vl.src, vl.dst) == key:
+                return vl
+        raise KeyError(key)
 
     def component_labels(self) -> list:
         """Fixed component ordering: (c, m, w) per VNF in order, then vlinks in order."""
@@ -198,14 +205,7 @@ class BackgroundModel:
         return BackgroundModel.from_graph(graph, 0.0, 0.0)
 
 
-def mixture_covariance_scale(k: np.ndarray, iid_covariance: bool) -> np.ndarray:
-    """Covariance multiplier of the k-user mixture component: k^2 by default, k
-    with the statistically conventional iid model."""
-    k = np.asarray(k, dtype=float)
-    return k if iid_covariance else k**2
-
-
-def aggregate_moments(spec: SliceSpec, iid_covariance: bool = False):
+def aggregate_moments(spec: SliceSpec):
     """Componentwise mean and variance of the aggregate demand mixture
     sum_k p_k Normal(k mu, k^2 Gamma).
 
@@ -216,8 +216,7 @@ def aggregate_moments(spec: SliceSpec, iid_covariance: bool = False):
     e_n = spec.user_count.moment(1)
     e_n2 = spec.user_count.moment(2)
     var_n = e_n2 - e_n**2
-    cov_scale = e_n if iid_covariance else e_n2
-    return e_n * mu, cov_scale * var + var_n * mu**2
+    return e_n * mu, e_n2 * var + var_n * mu**2
 
 
 def _standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
@@ -231,7 +230,6 @@ def sample_aggregate(
     spec: SliceSpec,
     seed,
     size: int = 1,
-    iid_covariance: bool = False,
     clamp: bool = True,
 ) -> np.ndarray:
     """Draw aggregate demand vectors: k from the pmf, then Normal(k mu, k^2 Gamma).
@@ -247,7 +245,8 @@ def sample_aggregate(
     eigvals, eigvecs = np.linalg.eigh(cov)
     root = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
     z = _standard_normals(rng, (size, dim))
-    scale = np.sqrt(mixture_covariance_scale(counts, iid_covariance))
+    # The k-user component has covariance k^2 Gamma, so its draws scale by k.
+    scale = counts.astype(float)
     out = counts[:, None] * spec.user_model.mean[None, :] + scale[:, None] * (z @ root.T)
     if clamp:
         np.clip(out, 0.0, None, out=out)

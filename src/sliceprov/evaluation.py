@@ -19,13 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .demand import BackgroundModel, sample_aggregate, sample_background, slice_catalog
-from .planner import ProvisioningPlan, VariantConfig, provision, variant_from_name
-from .probability import (
-    DemandBox,
-    QmcConfig,
-    plan_impact_probabilities,
-    plan_psp,
-)
+from .planner import ProvisioningPlan, provision, variant_from_name
+from .probability import plan_impact_probabilities, plan_psp
 from .topology import RESOURCE_TYPES, ResourceVector, build_fat_tree
 
 # Invented defaults (see module docstring); override per scenario as needed.
@@ -184,6 +179,7 @@ class ScenarioReport:
     solver_gap: float
     wall_time: float
     slices: list = field(default_factory=list)
+    plan: ProvisioningPlan | None = None
 
 
 REPORT_COLUMNS = [
@@ -269,34 +265,8 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959964):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _provisioned_box(slice_plan) -> DemandBox | None:
-    """The componentwise amounts the plan actually provisions for a slice."""
-    if not slice_plan.accepted:
-        return None
-    spec = slice_plan.spec
-    node_totals = {}
-    for (node_id, vnf_name), count in slice_plan.node_counts.items():
-        node_totals[vnf_name] = node_totals.get(vnf_name, 0) + count
-    link_totals = {}
-    for (_, vlink_key), count in slice_plan.link_counts.items():
-        link_totals[vlink_key] = link_totals.get(vlink_key, 0) + count
-    upper = []
-    for label in spec.sfc.component_labels():
-        if len(label) == 2:
-            vnf_name, rtype = label
-            vnf = next(v for v in spec.sfc.vnfs if v.name == vnf_name)
-            upper.append(node_totals.get(vnf_name, 0) * vnf.requirement.get(rtype))
-        else:
-            vsrc, vdst, _ = label
-            vlink = next(
-                v for v in spec.sfc.vlinks if (v.src, v.dst) == (vsrc, vdst)
-            )
-            upper.append(link_totals.get((vsrc, vdst), 0) * vlink.bandwidth)
-    return DemandBox(upper=np.array(upper, dtype=float))
-
-
 def verify_by_simulation(plan: ProvisioningPlan, graph, background, trials: int,
-                         seed: int = 0, iid_covariance: bool = False) -> dict:
+                         seed: int = 0) -> dict:
     """Empirical check of the plan against fresh randomness.
 
     Samples aggregate demands per accepted slice and background loads, and
@@ -308,13 +278,10 @@ def verify_by_simulation(plan: ProvisioningPlan, graph, background, trials: int,
         raise ValueError("need at least 10^4 trials for meaningful intervals")
     psp = {}
     for index, (sid, slice_plan) in enumerate(sorted(plan.slices.items())):
-        box = _provisioned_box(slice_plan)
+        box = slice_plan.provisioned_box()
         if box is None:
             continue
-        samples = sample_aggregate(
-            slice_plan.spec, seed=(seed, 1, index), size=trials,
-            iid_covariance=iid_covariance,
-        )
+        samples = sample_aggregate(slice_plan.spec, seed=(seed, 1, index), size=trials)
         hits = int(np.sum(np.all(samples <= box.upper[None, :] + 1e-9, axis=1)))
         psp[sid] = (hits / trials, wilson_interval(hits, trials))
     node_loads, link_loads = sample_background(background, seed=(seed, 2), size=trials)
@@ -342,23 +309,20 @@ def verify_by_simulation(plan: ProvisioningPlan, graph, background, trials: int,
     return {"psp": psp, "impact": impact}
 
 
-def run_scenario(scenario: Scenario, qmc: QmcConfig | None = None,
-                 solver_config=None) -> list:
+def run_scenario(scenario: Scenario, **overrides) -> list:
     """Provision every (variant, repetition) of the scenario and compute
-    metrics; returns a list of ScenarioReport."""
+    metrics; returns a list of ScenarioReport, each carrying its plan.
+
+    ``overrides`` are VariantConfig fields applied to every variant (for
+    example ``ordering``, ``stat_mode``, ``solver`` or ``qmc``).  Repetition
+    r seeds the QMC margin calibration with ``scenario.seed + r``.
+    """
     graph = scenario.build_graph()
     background = scenario.build_background(graph)
     slices = scenario.build_slices()
     reports = []
     for variant_name in scenario.variants:
-        overrides = {}
-        if qmc is not None:
-            overrides["qmc"] = qmc
-        if solver_config is not None:
-            overrides["solver"] = solver_config
-        variant = variant_from_name(
-            variant_name, max_impact=scenario.max_impact, **overrides
-        )
+        variant = variant_from_name(variant_name, max_impact=scenario.max_impact, **overrides)
         for repetition in range(scenario.repetitions):
             seed = scenario.seed + repetition
             # Each repetition is an independent QMC replicate of the margins.
@@ -375,6 +339,7 @@ def run_scenario(scenario: Scenario, qmc: QmcConfig | None = None,
                 max_impact=scenario.max_impact,
                 solver_gap=plan.gap,
                 wall_time=plan.wall_time,
+                plan=plan,
                 **row,
             )
             for sid in sorted(plan.slices):
@@ -386,14 +351,12 @@ def run_scenario(scenario: Scenario, qmc: QmcConfig | None = None,
                     cost=slice_plan.cost,
                 )
                 if scenario.verify_trials and slice_plan.accepted:
-                    box = _provisioned_box(slice_plan)
                     estimate = plan_psp(
                         slice_plan.spec,
-                        box,
+                        slice_plan.provisioned_box(),
                         replicate.qmc,
                         mc_trials=scenario.verify_trials,
                         seed=seed,
-                        iid_covariance=replicate.iid_covariance,
                     )
                     slice_report.psp_qmc = estimate.qmc
                     slice_report.psp_qmc_error = estimate.qmc_error

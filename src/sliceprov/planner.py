@@ -3,17 +3,22 @@
 The planner calibrates the per-slice demand margin, builds the corresponding
 MILP (with background reserves when impact-aware), solves it, and converts
 the assignment into a :class:`ProvisioningPlan` with per-slice placements,
-costs, and infrastructure usage totals.
+costs, and infrastructure usage totals.  The slice-by-slice loop is one
+generator of steps, shared by :func:`provision`, the warm start of the joint
+variants and :func:`sequential_steps` (which exposes each step's model).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from . import milp
 from .demand import BackgroundModel, SliceSpec
 from .probability import (
+    DemandBox,
     QmcConfig,
     background_targets,
     find_gamma_s,
@@ -36,11 +41,8 @@ class VariantConfig:
     max_impact: float = 0.1
     ordering: str = "by_income"  # "by_income" | "given"
     stat_mode: str = "per_user"
-    iid_covariance: bool = False
-    gamma_tolerance: float = 1e-3
     qmc: QmcConfig = field(default_factory=QmcConfig)
     solver: SolverConfig = field(default_factory=SolverConfig)
-    warm_start_joint: bool = True
 
     def __post_init__(self):
         if self.mode not in ("joint", "sequential"):
@@ -82,6 +84,61 @@ class SlicePlan:
     def earnings(self) -> float:
         return (self.spec.income if self.accepted else 0.0) - self.cost
 
+    def node_amounts(self, into=None) -> dict:
+        """(node id, resource type) -> amount the slice's VNF instances take
+        there, added into ``into`` when given."""
+        totals = {} if into is None else into
+        for (node_id, vnf_name), count in self.node_counts.items():
+            requirement = self.spec.sfc.vnf(vnf_name).requirement
+            for rtype in RESOURCE_TYPES:
+                amount = requirement.get(rtype) * count
+                if amount:
+                    key = (node_id, rtype)
+                    totals[key] = totals.get(key, 0.0) + amount
+        return totals
+
+    def link_amounts(self, into=None) -> dict:
+        """link key -> bandwidth the slice's virtual-link instances take there,
+        added into ``into`` when given."""
+        totals = {} if into is None else into
+        for (key, vlink_key), count in self.link_counts.items():
+            amount = self.spec.sfc.vlink(vlink_key).bandwidth * count
+            if amount:
+                totals[key] = totals.get(key, 0.0) + amount
+        return totals
+
+    def provisioned_box(self):
+        """The componentwise amounts provisioned for the slice, over its SFC
+        component ordering; None when the slice is rejected."""
+        if not self.accepted:
+            return None
+        per_vnf = {}
+        for (_, vnf_name), count in self.node_counts.items():
+            per_vnf[vnf_name] = per_vnf.get(vnf_name, 0) + count
+        per_vlink = {}
+        for (_, vlink_key), count in self.link_counts.items():
+            per_vlink[vlink_key] = per_vlink.get(vlink_key, 0) + count
+        sfc = self.spec.sfc
+        upper = []
+        for label in sfc.component_labels():
+            if len(label) == 2:
+                vnf_name, rtype = label
+                upper.append(per_vnf.get(vnf_name, 0) * sfc.vnf(vnf_name).requirement.get(rtype))
+            else:
+                vlink_key = label[:2]
+                upper.append(per_vlink.get(vlink_key, 0) * sfc.vlink(vlink_key).bandwidth)
+        return DemandBox(upper=np.array(upper, dtype=float))
+
+    def placement_cost(self, graph: InfrastructureGraph) -> float:
+        """Provisioning cost of the placement: fixed costs of the used nodes
+        plus unit costs of the node and link amounts."""
+        cost = sum(graph.nodes[i].fixed_cost for i in self.used_nodes)
+        for (node_id, rtype), amount in self.node_amounts().items():
+            cost += amount * graph.nodes[node_id].unit_cost.get(rtype)
+        for key, amount in self.link_amounts().items():
+            cost += amount * graph.links[key].unit_cost
+        return cost
+
 
 @dataclass
 class ProvisioningPlan:
@@ -98,13 +155,7 @@ class ProvisioningPlan:
         """(node id, resource type) -> total provisioned amount."""
         totals = {}
         for plan in self.slices.values():
-            for (node_id, vnf_name), count in plan.node_counts.items():
-                req = next(v for v in plan.spec.sfc.vnfs if v.name == vnf_name).requirement
-                for rtype in RESOURCE_TYPES:
-                    amount = req.get(rtype) * count
-                    if amount:
-                        key = (node_id, rtype)
-                        totals[key] = totals.get(key, 0.0) + amount
+            plan.node_amounts(totals)
         return totals
 
     @property
@@ -112,13 +163,7 @@ class ProvisioningPlan:
         """link key -> total provisioned bandwidth."""
         totals = {}
         for plan in self.slices.values():
-            for (key, (vsrc, vdst)), count in plan.link_counts.items():
-                vl = next(
-                    v for v in plan.spec.sfc.vlinks if (v.src, v.dst) == (vsrc, vdst)
-                )
-                amount = vl.bandwidth * count
-                if amount:
-                    totals[key] = totals.get(key, 0.0) + amount
+            plan.link_amounts(totals)
         return totals
 
     @property
@@ -141,21 +186,9 @@ _GAMMA_CACHE: dict = {}
 
 
 def calibrate_gamma(spec: SliceSpec, variant: VariantConfig) -> float:
-    key = (
-        spec.fingerprint(),
-        variant.stat_mode,
-        variant.iid_covariance,
-        variant.gamma_tolerance,
-        variant.qmc,
-    )
+    key = (spec.fingerprint(), variant.stat_mode, variant.qmc)
     if key not in _GAMMA_CACHE:
-        _GAMMA_CACHE[key] = find_gamma_s(
-            spec,
-            variant.qmc,
-            gamma_tolerance=variant.gamma_tolerance,
-            stat_mode=variant.stat_mode,
-            iid_covariance=variant.iid_covariance,
-        )
+        _GAMMA_CACHE[key] = find_gamma_s(spec, variant.qmc, stat_mode=variant.stat_mode)
     return _GAMMA_CACHE[key]
 
 
@@ -163,18 +196,6 @@ def order_slices(slices, ordering: str):
     if ordering == "given":
         return list(slices)
     return sorted(slices, key=lambda s: (-s.income, s.id))
-
-
-def _slice_cost(plan: SlicePlan, graph: InfrastructureGraph) -> float:
-    cost = sum(graph.nodes[i].fixed_cost for i in plan.used_nodes)
-    for (node_id, vnf_name), count in plan.node_counts.items():
-        req = next(v for v in plan.spec.sfc.vnfs if v.name == vnf_name).requirement
-        unit = graph.nodes[node_id].unit_cost
-        cost += count * sum(req.get(t) * unit.get(t) for t in RESOURCE_TYPES)
-    for (key, (vsrc, vdst)), count in plan.link_counts.items():
-        vl = next(v for v in plan.spec.sfc.vlinks if (v.src, v.dst) == (vsrc, vdst))
-        cost += count * vl.bandwidth * graph.links[key].unit_cost
-    return cost
 
 
 def _extract(model, assignment, plans, graph):
@@ -202,7 +223,7 @@ def _extract(model, assignment, plans, graph):
             plan.node_counts.clear()
             plan.link_counts.clear()
             plan.used_nodes.clear()
-        plan.cost = _slice_cost(plan, graph)
+        plan.cost = plan.placement_cost(graph)
 
 
 def _reserves(variant: VariantConfig, background: BackgroundModel | None):
@@ -212,6 +233,21 @@ def _reserves(variant: VariantConfig, background: BackgroundModel | None):
         raise ValueError("impact-aware provisioning requires a background model")
     margin = gamma_b(variant.max_impact)
     return background_targets(background, margin)
+
+
+def _calibrated(slices, variant: VariantConfig) -> dict:
+    """Slice id -> SlicePlan holding the calibrated margin and target box, in
+    the given slice order."""
+    slices = list(slices)
+    ids = [s.id for s in slices]
+    if len(set(ids)) != len(ids):
+        raise ValueError("slice ids must be unique")
+    plans = {}
+    for spec in slices:
+        gamma = calibrate_gamma(spec, variant)
+        box = targets_for_gamma(spec, gamma, stat_mode=variant.stat_mode)
+        plans[spec.id] = SlicePlan(spec=spec, gamma=gamma, box=box)
+    return plans
 
 
 def provision(
@@ -225,95 +261,95 @@ def provision(
     Returns the plan with per-slice placements and acceptance; earnings are
     total income of accepted slices minus provisioning cost.
     """
-    slices = list(slices)
-    ids = [s.id for s in slices]
-    if len(set(ids)) != len(ids):
-        raise ValueError("slice ids must be unique")
-    result = ProvisioningPlan(variant=variant.name)
-    plans = {}
-    targets = {}
-    for spec in slices:
-        gamma = calibrate_gamma(spec, variant)
-        box = targets_for_gamma(
-            spec, gamma, stat_mode=variant.stat_mode, iid_covariance=variant.iid_covariance
-        )
-        targets[spec.id] = box
-        plans[spec.id] = SlicePlan(spec=spec, gamma=gamma, box=box)
-    result.slices = plans
-    node_reserves, link_reserves = _reserves(variant, background)
-
-    if variant.mode == "sequential":
-        _provision_sequential(
-            slices, graph, variant, targets, plans, node_reserves, link_reserves, result
-        )
-    else:
-        _provision_joint(
-            slices, graph, variant, targets, plans, node_reserves, link_reserves,
-            background, result
-        )
+    result = ProvisioningPlan(variant=variant.name, slices=_calibrated(slices, variant))
+    reserves = _reserves(variant, background)
+    if variant.mode == "joint":
+        _provision_joint(result, graph, variant, reserves)
+        return result
+    for spec, model, res in _sequential_steps(result.slices, graph, variant, reserves):
+        result.warnings.extend(model.warnings)
+        result.solver_status[spec.id] = res.status
+        result.node_count += res.node_count
+        result.wall_time += res.wall_time
+        result.gap = max(result.gap, res.gap if res.assignment else 0.0)
     return result
 
 
-def _provision_sequential(
-    slices, graph, variant, targets, plans, node_reserves, link_reserves, result,
-    ordering=None, standalone=None,
+def sequential_steps(
+    slices,
+    graph: InfrastructureGraph,
+    variant: VariantConfig,
+    background: BackgroundModel | None = None,
 ):
-    """Provision slice by slice, each step on the capacity left by the slices
-    accepted before it.  ``standalone`` optionally maps slice id -> (model,
-    SolveResult) of that slice solved on the untouched capacity; a step
-    reuses it while nothing has been consumed yet, since its model would be
-    the same."""
+    """Provision slice by slice exactly as :func:`provision` does for a
+    sequential variant, yielding ``(spec, model, result)`` per step in
+    provisioning order: the step's MILP on the capacity left by the slices
+    accepted before it, and its solve."""
+    yield from _sequential_steps(
+        _calibrated(slices, variant), graph, variant, _reserves(variant, background)
+    )
+
+
+def joint_model(
+    slices,
+    graph: InfrastructureGraph,
+    variant: VariantConfig,
+    background: BackgroundModel | None = None,
+) -> milp.MilpModel:
+    """The joint MILP over all slices on the capacity left after the
+    variant's background reserves.  :func:`provision` solves it with
+    cost-floor rows added from stand-alone solves of each slice."""
+    plans = _calibrated(slices, variant)
+    return milp.build_joint(
+        [plan.spec for plan in plans.values()],
+        graph,
+        {sid: plan.box for sid, plan in plans.items()},
+        *_reserves(variant, background),
+    )
+
+
+def _sequential_steps(plans, graph, variant, reserves, standalone=None):
+    """Provision the calibrated ``plans`` slice by slice, each step on the
+    capacity left by the slices accepted before it, and yield ``(spec,
+    model, result)`` once the step's plan is filled.  ``standalone``
+    optionally maps slice id -> (model, SolveResult) of that slice solved on
+    the untouched capacity; a step reuses it while nothing has been consumed
+    yet, since its model would be the same."""
     consumed_node = {}
     consumed_link = {}
-    for spec in order_slices(slices, ordering or variant.ordering):
+    for spec in order_slices([plan.spec for plan in plans.values()], variant.ordering):
+        plan = plans[spec.id]
         if standalone and spec.id in standalone and not consumed_node and not consumed_link:
             model, res = standalone[spec.id]
         else:
             model = milp.build_sequential_step(
                 spec,
                 graph,
-                targets[spec.id],
-                node_reserves,
-                link_reserves,
+                plan.box,
+                *reserves,
                 consumed_node=consumed_node,
                 consumed_link=consumed_link,
             )
             res = solve_model(model, variant.solver)
-        result.warnings.extend(model.warnings)
-        result.solver_status[spec.id] = res.status
-        result.node_count += res.node_count
-        result.wall_time += res.wall_time
-        result.gap = max(result.gap, res.gap if res.assignment else 0.0)
         if res.assignment:
-            _extract(model, res.assignment, {spec.id: plans[spec.id]}, graph)
-        plan = plans[spec.id]
+            _extract(model, res.assignment, {spec.id: plan}, graph)
         if plan.accepted:
-            for (node_id, vnf_name), count in plan.node_counts.items():
-                req = next(v for v in spec.sfc.vnfs if v.name == vnf_name).requirement
-                for rtype in RESOURCE_TYPES:
-                    amount = req.get(rtype) * count
-                    if amount:
-                        key = (node_id, rtype)
-                        consumed_node[key] = consumed_node.get(key, 0.0) + amount
-            for (key, vlink_key), count in plan.link_counts.items():
-                vl = next(v for v in spec.sfc.vlinks if (v.src, v.dst) == vlink_key)
-                consumed_link[key] = consumed_link.get(key, 0.0) + vl.bandwidth * count
+            plan.node_amounts(consumed_node)
+            plan.link_amounts(consumed_link)
+        yield spec, model, res
 
 
-def _provision_joint(
-    slices, graph, variant, targets, plans, node_reserves, link_reserves,
-    background, result
-):
+def _provision_joint(result, graph, variant, reserves):
+    plans = result.slices
+    specs = [plan.spec for plan in plans.values()]
     # Stand-alone solves give each slice a proven cost floor: income minus
     # the single-slice bound never exceeds the slice's cost in any joint
     # solution, and the resulting rows make the joint relaxation nearly
     # exact when capacity coupling is loose.
     cost_floors = {}
     standalone = {}
-    for spec in slices:
-        single = milp.build_sequential_step(
-            spec, graph, targets[spec.id], node_reserves, link_reserves
-        )
+    for spec in specs:
+        single = milp.build_sequential_step(spec, graph, plans[spec.id].box, *reserves)
         res = solve_model(single, variant.solver)
         standalone[spec.id] = (single, res)
         result.node_count += res.node_count
@@ -324,26 +360,23 @@ def _provision_joint(
             if floor > 0:
                 cost_floors[spec.id] = floor
     model = milp.build_joint(
-        slices, graph, targets, node_reserves, link_reserves, cost_floors=cost_floors
+        specs,
+        graph,
+        {sid: plan.box for sid, plan in plans.items()},
+        *reserves,
+        cost_floors=cost_floors,
     )
     result.warnings.extend(model.warnings)
-    warm = None
-    if variant.warm_start_joint:
-        # A sequential pass supplies a feasible incumbent, so the joint
-        # solution can never fall below the slice-by-slice one even when the
-        # search stops at the time or node limit.
-        seq_variant = replace(variant, mode="sequential")
-        seq_result = ProvisioningPlan(variant="warm")
-        seq_plans = {
-            sid: SlicePlan(spec=p.spec, gamma=p.gamma, box=p.box)
-            for sid, p in plans.items()
-        }
-        _provision_sequential(
-            slices, graph, seq_variant, targets, seq_plans,
-            node_reserves, link_reserves, seq_result, standalone=standalone,
-        )
-        warm = _assignment_from_plans(seq_plans)
-    res = solve_model(model, variant.solver, warm_start=warm)
+    # A sequential pass supplies a feasible incumbent, so the joint solution
+    # can never fall below the slice-by-slice one even when the search stops
+    # at the time or node limit.
+    warm = {
+        sid: SlicePlan(spec=plan.spec, gamma=plan.gamma, box=plan.box)
+        for sid, plan in plans.items()
+    }
+    for _ in _sequential_steps(warm, graph, variant, reserves, standalone):
+        pass
+    res = solve_model(model, variant.solver, warm_start=_assignment_from_plans(warm))
     result.solver_status["joint"] = res.status
     result.node_count += res.node_count
     result.wall_time += res.wall_time

@@ -13,7 +13,6 @@ from .demand import (
     BackgroundModel,
     SliceSpec,
     aggregate_moments,
-    mixture_covariance_scale,
     sample_aggregate,
 )
 from .topology import RESOURCE_TYPES, InfrastructureGraph, ResourceVector
@@ -165,9 +164,7 @@ def mvn_box_probability(mean, cov, box: DemandBox, cfg: QmcConfig):
     return float(np.mean(estimates)), err
 
 
-def targets_for_gamma(
-    spec: SliceSpec, gamma: float, stat_mode: str = "per_user", iid_covariance: bool = False
-) -> DemandBox:
+def targets_for_gamma(spec: SliceSpec, gamma: float, stat_mode: str = "per_user") -> DemandBox:
     """Demand target box mu + gamma * sigma.
 
     ``per_user`` uses the per-user statistics (the literal target definition);
@@ -180,16 +177,14 @@ def targets_for_gamma(
         mu = spec.user_model.mean
         sd = spec.user_model.std
     elif stat_mode == "aggregate":
-        mu, var = aggregate_moments(spec, iid_covariance=iid_covariance)
+        mu, var = aggregate_moments(spec)
         sd = np.sqrt(var)
     else:
         raise ValueError(f"unknown stat_mode {stat_mode!r}")
     return DemandBox(mu + gamma * sd)
 
 
-def psp_of_box(
-    spec: SliceSpec, box: DemandBox, cfg: QmcConfig, iid_covariance: bool = False
-):
+def psp_of_box(spec: SliceSpec, box: DemandBox, cfg: QmcConfig):
     """Probability that the aggregate demand of the slice falls inside the box:
     sum_k p_k Pr{Normal(k mu, k^2 Gamma) <= upper}, the k = 0 term counting as
     p_0 (an empty user set is always satisfied).
@@ -220,7 +215,7 @@ def psp_of_box(
             return float(est), 0.0
 
     weights = probs[ks]
-    scales = np.sqrt(mixture_covariance_scale(ks, iid_covariance))
+    scales = ks.astype(float)
     shifts = ks[:, None] * mu[sto_idx][None, :]
     if sto_idx.size == 0:
         return float(est + weights.sum()), 0.0
@@ -242,7 +237,6 @@ def find_gamma_s(
     cfg: QmcConfig,
     gamma_tolerance: float = 1e-3,
     stat_mode: str = "per_user",
-    iid_covariance: bool = False,
 ) -> float:
     """Smallest margin gamma (within tolerance) whose target box reaches the
     slice's required PSP, found by dichotomy on the monotone PSP curve.
@@ -264,8 +258,8 @@ def find_gamma_s(
     def psp(gamma: float, use_cfg: QmcConfig):
         key = (round(gamma, 12), use_cfg.samples, use_cfg.randomizations)
         if key not in cache:
-            box = targets_for_gamma(spec, gamma, stat_mode, iid_covariance)
-            cache[key] = psp_of_box(spec, box, use_cfg, iid_covariance)
+            box = targets_for_gamma(spec, gamma, stat_mode)
+            cache[key] = psp_of_box(spec, box, use_cfg)
         return cache[key]
 
     def coarse_cfg():
@@ -410,12 +404,11 @@ def plan_psp(
     cfg: QmcConfig,
     mc_trials: int = 10_000,
     seed: int = 0,
-    iid_covariance: bool = False,
 ) -> PspEstimate:
     """Post-hoc PSP of provisioned totals: QMC mixture estimate plus a plain
     Monte Carlo cross-check over sampled aggregate demands."""
-    qmc_est, qmc_err = psp_of_box(spec, box, cfg, iid_covariance)
-    draws = sample_aggregate(spec, seed, size=mc_trials, iid_covariance=iid_covariance)
+    qmc_est, qmc_err = psp_of_box(spec, box, cfg)
+    draws = sample_aggregate(spec, seed, size=mc_trials)
     hits = np.all(draws <= box.upper[None, :] + _DET_SLACK, axis=1)
     mc_est = float(np.mean(hits))
     mc_err = float(np.sqrt(max(mc_est * (1.0 - mc_est), 1e-12) / mc_trials))

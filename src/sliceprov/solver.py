@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .milp import LinearConstraint, MilpModel, MilpVariable, make_constraint
+from .milp import MilpModel, MilpVariable, make_constraint
 from .simplex import solve_lp
 
 _INT_TOL = 1e-6
@@ -31,7 +31,6 @@ class SolverConfig:
     gap_tolerance: float = 1e-6  # relative optimality gap
     time_limit: float | None = None  # seconds
     node_limit: int | None = None
-    lp_pivot_tolerance: float = 1e-9
 
 
 @dataclass
@@ -152,8 +151,7 @@ def solve_model(model: MilpModel, config: SolverConfig | None = None,
         tol_abs = config.gap_tolerance * max(1.0, abs(incumbent_obj))
         if bound <= incumbent_obj + tol_abs:
             continue
-        res = solve_lp(A, b, relations, c_min, lo, hi,
-                       pivot_tol=config.lp_pivot_tolerance, basis=parent_basis)
+        res = solve_lp(A, b, relations, c_min, lo, hi, basis=parent_basis)
         node_count += 1
         if res.status != "optimal":
             continue

@@ -1,9 +1,11 @@
+import csv
+
 import yaml
 from click.testing import CliRunner
 
 from sliceprov import planner
 from sliceprov.cli import main
-from sliceprov.solver import parse_lp
+from sliceprov.solver import export_lp, parse_lp
 
 TINY_SCENARIO = {
     "name": "tiny",
@@ -106,6 +108,64 @@ def test_export_lp_round_trips(tmp_path):
     assert len(files) == 1  # one sequential step for the one slice
     model = parse_lp(files[0].read_text(encoding="utf-8"))
     assert model.variables and model.constraints
+
+
+def read_csv(path):
+    with open(path, encoding="utf-8", newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
+def test_provision_runs_every_repetition_with_psp_estimates(tmp_path):
+    out = tmp_path / "out"
+    data = dict(TINY_SCENARIO, seed=4, repetitions=2)
+    result = CliRunner().invoke(
+        main,
+        ["provision", "--scenario", str(write_scenario(tmp_path, data)),
+         "--variant", "SP", "--variant", "SP-B", "--trials", "10000",
+         "--out", str(out)],
+    )
+    assert result.exit_code == 0, result.output
+    report = read_csv(out / "report.csv")
+    assert [(r["variant"], r["repetition"], r["seed"]) for r in report] == [
+        ("SP", "0", "4"), ("SP", "1", "5"), ("SP-B", "0", "4"), ("SP-B", "1", "5"),
+    ]
+    slices = read_csv(out / "slices.csv")
+    assert len(slices) == 4
+    for row in slices:
+        assert row["accepted"] == "1"
+        assert 0.0 < float(row["psp_qmc"]) <= 1.0
+        assert 0.0 < float(row["psp_mc"]) <= 1.0
+    plan = read_csv(out / "plan.csv")
+    assert [r["variant"] for r in plan if r["kind"] == "node"] == ["SP", "SP", "SP-B", "SP-B"]
+
+
+def test_export_lp_writes_the_models_the_planner_solves(tmp_path, monkeypatch):
+    solved = []
+    solve_model = planner.solve_model
+
+    def recording_solve_model(model, *args, **kwargs):
+        solved.append(model)
+        return solve_model(model, *args, **kwargs)
+
+    monkeypatch.setattr(planner, "solve_model", recording_solve_model)
+    out = tmp_path / "lp"
+    data = dict(TINY_SCENARIO, mix=[{"type": "micro", "count": 2}])
+    result = CliRunner().invoke(
+        main,
+        ["export-lp", "--scenario", str(write_scenario(tmp_path, data)),
+         "--variant", "SP", "--out", str(out)],
+    )
+    assert result.exit_code == 0, result.output
+    files = sorted(out.glob("*.lp"))
+    assert [f.name for f in files] == ["tiny-SP-step0-micro_0.lp", "tiny-SP-step1-micro_1.lp"]
+    assert [f.read_text(encoding="utf-8") for f in files] == [export_lp(m) for m in solved]
+    # The second step sees the capacity the first slice took.
+    capacity = [
+        sum(row.rhs for row in parse_lp(f.read_text(encoding="utf-8")).constraints
+            if row.name.startswith("cap_"))
+        for f in files
+    ]
+    assert capacity[1] < capacity[0]
 
 
 def test_calibrate_prints_margin_and_curve():

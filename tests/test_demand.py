@@ -91,9 +91,6 @@ def test_aggregate_moments_closed_form():
     mean, var = aggregate_moments(spec)
     assert mean[0] == pytest.approx(10.0, abs=1e-9)
     assert var[0] == pytest.approx(37.5, abs=1e-6)
-    # iid covariance scaling: variance = E[N] * 1 + Var(N) * 4 = 5 + 10 = 15.
-    _, var_iid = aggregate_moments(spec, iid_covariance=True)
-    assert var_iid[0] == pytest.approx(15.0, abs=1e-6)
 
 
 def test_aggregate_moments_degenerate_cases():

@@ -15,7 +15,6 @@ from sliceprov.evaluation import (
     Scenario,
     ScenarioReport,
     SliceReport,
-    _provisioned_box,
     builtin_scenarios,
     emit_report,
     metrics,
@@ -124,10 +123,10 @@ def test_provisioned_box_matches_counts():
     graph = GraphConfig().build()
     plan = _toy_plan(graph)
     slice_plan = next(iter(plan.slices.values()))
-    box = _provisioned_box(slice_plan)
+    box = slice_plan.provisioned_box()
     # Components: vA (c, m, w), vB (c, m, w), vlink bandwidth.
     assert box.upper == pytest.approx([0.5, 0.0, 0.0, 0.4, 0.2, 0.0, 0.2])
-    assert _provisioned_box(_toy_plan(graph, accepted=False).slices["chain"]) is None
+    assert _toy_plan(graph, accepted=False).slices["chain"].provisioned_box() is None
 
 
 def test_verify_by_simulation_toy_plan():

@@ -120,10 +120,10 @@ def provision(scenario_token, variant, seed, out_dir, max_impact, ordering,
         evaluation.emit_report(reports, stream=rep, include_timing=include_timing,
                                slice_stream=sli)
     with open(out / "plan.csv", "w", encoding="utf-8") as handle:
-        handle.write("scenario,variant,slice,kind,element,virtual,count\n")
+        handle.write("scenario,variant,repetition,slice,kind,element,virtual,count\n")
         for report in reports:
             for sid, slice_plan in sorted(report.plan.slices.items()):
-                prefix = f"{report.scenario},{report.variant},{sid}"
+                prefix = f"{report.scenario},{report.variant},{report.repetition},{sid}"
                 for (node_id, vnf), count in sorted(slice_plan.node_counts.items()):
                     handle.write(f"{prefix},node,{node_id},{vnf},{count}\n")
                 for ((src, dst), (vs, vd)), count in sorted(slice_plan.link_counts.items()):

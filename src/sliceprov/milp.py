@@ -10,6 +10,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .demand import SliceSpec
 from .probability import DemandBox
@@ -98,7 +99,13 @@ class MilpModel:
 
 
 def sanitize(token: str) -> str:
-    return re.sub(r"[^A-Za-z0-9]", "_", str(token))
+    return _sanitize_str(str(token))
+
+
+@lru_cache(maxsize=2**14)
+def _sanitize_str(token: str) -> str:
+    # The model builders ask for the same few ids over and over.
+    return re.sub(r"[^A-Za-z0-9]", "_", token)
 
 
 def node_var(slice_id, node_id, vnf) -> str:

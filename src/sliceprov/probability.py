@@ -3,7 +3,12 @@ demand mixture, robustness-margin calibration, and post-hoc plan evaluation."""
 
 from __future__ import annotations
 
+import copy
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -93,42 +98,151 @@ def _cholesky_psd(cov: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(cov + jitter)
 
 
-def _qmc_points(dim: int, samples: int, randomizations: int, seed):
-    """One scrambled Sobol point set per randomization, seeded from (seed, r).
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
-    The sets are precomputed so results do not depend on evaluation order.
+
+# The QMC randomizations run as tasks on one thread per CPU.  The heavy
+# ufuncs (ndtr, ndtri and the elementwise arithmetic) release the GIL, so the
+# threads run them in parallel.  With a single CPU the tasks run inline.
+_WORKERS = _cpu_count()
+_POOL = (
+    ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="sliceprov-qmc")
+    if _WORKERS > 1 else None
+)
+# Points are drawn and conditioned in chunks of about _CHUNK_VALUES normal
+# quantiles (512 KiB).  When one randomization needs fewer, a task conditions
+# several randomizations together, as rows of its arrays, so that small
+# problems still make few, large ufunc calls.
+_CHUNK_VALUES = 2**16
+# Sobol points are drawn about _DRAW_VALUES coordinates (128 KiB) at a time.
+_DRAW_VALUES = 2**14
+
+
+@lru_cache(maxsize=256)
+def _sobol_engine(dim: int, seed, r: int) -> qmc.Sobol:
+    """Scrambled Sobol engine of randomization ``r``, seeded from (seed, r).
+
+    The cached engine is never drawn from: callers draw from a copy, so a
+    point set depends only on (dim, seed, r).
     """
-    sets = []
-    for r in range(randomizations):
-        engine = qmc.Sobol(d=dim, scramble=True, seed=np.random.default_rng([seed, r]))
-        sets.append(engine.random(samples))
-    return sets
+    return qmc.Sobol(d=dim, scramble=True, seed=np.random.default_rng([seed, r]))
 
 
-def _genz_batch(shifts: np.ndarray, scales: np.ndarray, chol: np.ndarray,
-                upper: np.ndarray, points: np.ndarray) -> np.ndarray:
+def _pow2_floor(n: int) -> int:
+    return 1 << (max(1, n).bit_length() - 1)
+
+
+def _task_plan(batch: int, d: int, samples: int, rands: int):
+    """(groups, chunk): the randomizations of each task, in order, and the
+    points per chunk.
+
+    A chunk holds about _CHUNK_VALUES normal quantiles.  A randomization that
+    fills less than one chunk shares its task with as many others as fit,
+    spread over a multiple of the worker count of tasks.
+    """
+    cells = max(1, _CHUNK_VALUES // (d - 1))  # rows x points per chunk
+    if batch * samples >= cells:
+        chunk = min(samples, max(64, _pow2_floor(cells // batch)))
+        return [range(r, r + 1) for r in range(rands)], chunk
+    fit = cells // (batch * samples)
+    tasks = min(rands, _WORKERS * -(-rands // (_WORKERS * fit)))
+    return [range(k * rands // tasks, (k + 1) * rands // tasks) for k in range(tasks)], samples
+
+
+def _work_values(group: int, batch: int, d: int, samples: int, chunk: int) -> int:
+    """float64 values of the work array ``_genz_group`` needs."""
+    return group * (batch * (samples + (d + 1) * chunk) + (d - 1) * chunk)
+
+
+def _genz_group(b: np.ndarray, chol: np.ndarray, samples: int, seed, rands: range,
+                chunk: int, work: np.ndarray) -> np.ndarray:
+    """Per-batch-member means of the Genz integrand over the ``samples`` points
+    of each randomization in ``rands``; ``b`` holds the standardized box
+    corners (batch, d).  Returns a (len(rands), batch) array.
+
+    Points are drawn and conditioned ``chunk`` at a time in views of ``work``;
+    the integrand products fill one (group, batch, samples) array, whose row
+    means are the estimates.  The estimates do not depend on the chunk or the
+    grouping, bit for bit: each value goes through the same elementwise
+    operations, the dot product over the conditioned coordinates runs along
+    the last axis of ``y`` (einsum sums in another order when that axis comes
+    first), and each mean runs over one contiguous row of ``samples``.
+    """
+    group = len(rands)
+    batch, d = b.shape
+    rows = group * batch
+    prod = work[: rows * samples].reshape(group, batch, samples)
+    scratch = work[rows * samples:]
+    engines = [copy.deepcopy(_sobol_engine(d - 1, seed, r)) for r in rands]
+    # Small draws keep the arrays the engine allocates in this thread small.
+    draw = _pow2_floor(_DRAW_VALUES // (d - 1))
+    e_first = ndtr(b[:, 0] / chol[0, 0])[:, None]
+    for start in range(0, samples, chunk):
+        m = min(chunk, samples - start)
+        cells = rows * m
+        y = scratch[: cells * (d - 1)].reshape(group, batch, m, d - 1)
+        e_vals = scratch[cells * (d - 1): cells * d].reshape(group, batch, m)
+        partial = scratch[cells * d: cells * (d + 1)].reshape(group, batch, m)
+        points = scratch[cells * (d + 1): cells * (d + 1) + group * (d - 1) * m]
+        points = points.reshape(group, d - 1, m)
+        for g, engine in enumerate(engines):
+            for lo in range(0, m, draw):
+                hi = min(m, lo + draw)
+                points[g, :, lo:hi] = engine.random(hi - lo).T
+        block = prod[:, :, start: start + m]
+        block[...] = e_first
+        e_vals[...] = e_first
+        for i in range(1, d):
+            np.multiply(points[:, None, i - 1], e_vals, out=e_vals)
+            np.clip(e_vals, *_U_CLIP, out=e_vals)
+            ndtri(e_vals, out=y[..., i - 1])
+            np.einsum("j,gbnj->gbn", chol[i, :i], y[..., :i], out=partial)
+            np.subtract(b[:, i, None], partial, out=partial)
+            np.divide(partial, chol[i, i], out=partial)
+            ndtr(partial, out=e_vals)
+            block *= e_vals
+    return prod.mean(axis=2)
+
+
+def _genz_estimates(shifts: np.ndarray, scales: np.ndarray, chol: np.ndarray,
+                    upper: np.ndarray, cfg: QmcConfig) -> list:
     """Genz sequential-conditioning estimates of Pr{X <= upper} for a batch of
     Gaussians X_j ~ Normal(shifts[j], scales[j]^2 * L L^T).
 
-    ``points`` is an (n, d-1) low-discrepancy set shared by the batch; returns
-    the per-batch-member mean of the transformed integrand.
+    Returns one (batch,) array per randomization, in randomization order, or
+    a single exact array when d == 1.  The randomizations run on the module's
+    thread pool; the result does not depend on the thread count.
     """
-    batch, d = shifts.shape
-    n = points.shape[0] if d > 1 else 1
     b = (upper[None, :] - shifts) / scales[:, None]  # (batch, d)
-    e_cur = ndtr(b[:, 0] / chol[0, 0])  # (batch,)
+    batch, d = b.shape
     if d == 1:
-        return e_cur
-    prod = np.repeat(e_cur[:, None], n, axis=1)  # (batch, n)
-    e_vals = prod.copy()
-    y = np.empty((batch, n, d - 1))
-    for i in range(1, d):
-        u = np.clip(points[None, :, i - 1] * e_vals, *_U_CLIP)
-        y[:, :, i - 1] = ndtri(u)
-        partial = np.einsum("j,bnj->bn", chol[i, :i], y[:, :, : i])
-        e_vals = ndtr((b[:, i, None] - partial) / chol[i, i])
-        prod *= e_vals
-    return prod.mean(axis=1)
+        return [ndtr(b[:, 0] / chol[0, 0])]
+    samples = cfg.samples
+    groups, chunk = _task_plan(batch, d, samples, cfg.randomizations)
+    size = _work_values(max(len(g) for g in groups), batch, d, samples, chunk)
+    # The caller allocates one work array per task that can run at a time and
+    # each task borrows one, so the memory is the caller's to reuse once the
+    # call returns rather than kept by the worker threads.
+    work = queue.SimpleQueue()
+    for _ in range(1 if _POOL is None else min(_WORKERS, len(groups))):
+        work.put(np.empty(size))
+
+    def task(group_rands):
+        buf = work.get()
+        try:
+            return _genz_group(b, chol, samples, cfg.seed, group_rands, chunk, buf)
+        finally:
+            work.put(buf)
+
+    if _POOL is None:
+        means = [task(g) for g in groups]
+    else:
+        means = list(_POOL.map(task, groups))
+    return [row for group_means in means for row in group_means]
 
 
 def mvn_box_probability(mean, cov, box: DemandBox, cfg: QmcConfig):
@@ -152,14 +266,10 @@ def mvn_box_probability(mean, cov, box: DemandBox, cfg: QmcConfig):
     chol = _cholesky_psd(sub_cov)
     shifts = mean[sto_idx][None, :]
     scales = np.ones(1)
-    d = sto_idx.size
-    if d == 1:
-        est = float(_genz_batch(shifts, scales, chol, upper[sto_idx], np.empty((0, 0)))[0])
-        return est, 0.0
-    point_sets = _qmc_points(d - 1, cfg.samples, cfg.randomizations, cfg.seed)
-    estimates = np.array(
-        [float(_genz_batch(shifts, scales, chol, upper[sto_idx], pts)[0]) for pts in point_sets]
-    )
+    terms = _genz_estimates(shifts, scales, chol, upper[sto_idx], cfg)
+    if sto_idx.size == 1:
+        return float(terms[0][0]), 0.0
+    estimates = np.array([float(t[0]) for t in terms])
     err = float(np.std(estimates, ddof=1) / np.sqrt(cfg.randomizations))
     return float(np.mean(estimates)), err
 
@@ -220,14 +330,10 @@ def psp_of_box(spec: SliceSpec, box: DemandBox, cfg: QmcConfig):
     if sto_idx.size == 0:
         return float(est + weights.sum()), 0.0
     chol = _cholesky_psd(cov[np.ix_(sto_idx, sto_idx)])
-    d = sto_idx.size
-    if d == 1:
-        terms = _genz_batch(shifts, scales, chol, upper[sto_idx], np.empty((0, 0)))
-        return float(est + weights @ terms), 0.0
-    point_sets = _qmc_points(d - 1, cfg.samples, cfg.randomizations, cfg.seed)
-    per_rand = np.array(
-        [weights @ _genz_batch(shifts, scales, chol, upper[sto_idx], pts) for pts in point_sets]
-    )
+    terms = _genz_estimates(shifts, scales, chol, upper[sto_idx], cfg)
+    if sto_idx.size == 1:
+        return float(est + weights @ terms[0]), 0.0
+    per_rand = np.array([weights @ t for t in terms])
     err = float(np.std(per_rand, ddof=1) / np.sqrt(cfg.randomizations))
     return float(est + np.mean(per_rand)), err
 

@@ -2,6 +2,8 @@
 MILP solves fast, plus the low-cost QMC configuration used by unit tests."""
 
 import numpy as np
+from scipy.special import ndtr, ndtri
+from scipy.stats import qmc
 
 from sliceprov.demand import (
     SfcGraph,
@@ -87,3 +89,43 @@ def degenerate_spec(required_psp):
         income=1.0,
         required_psp=required_psp,
     )
+
+
+def reference_qmc_points(dim, samples, randomizations, seed):
+    """The serial estimator's point sets: one scrambled Sobol set per
+    randomization, seeded from (seed, r), all drawn up front."""
+    sets = []
+    for r in range(randomizations):
+        engine = qmc.Sobol(d=dim, scramble=True, seed=np.random.default_rng([seed, r]))
+        sets.append(engine.random(samples))
+    return sets
+
+
+def reference_genz_batch(shifts, scales, chol, upper, points):
+    """The serial estimator's Genz sequential conditioning over one whole
+    (n, d-1) point set; returns the per-batch-member mean of the integrand."""
+    batch, d = shifts.shape
+    n = points.shape[0] if d > 1 else 1
+    b = (upper[None, :] - shifts) / scales[:, None]  # (batch, d)
+    e_cur = ndtr(b[:, 0] / chol[0, 0])  # (batch,)
+    if d == 1:
+        return e_cur
+    prod = np.repeat(e_cur[:, None], n, axis=1)  # (batch, n)
+    e_vals = prod.copy()
+    y = np.empty((batch, n, d - 1))
+    for i in range(1, d):
+        u = np.clip(points[None, :, i - 1] * e_vals, 1e-300, 1.0 - 1e-16)
+        y[:, :, i - 1] = ndtri(u)
+        partial = np.einsum("j,bnj->bn", chol[i, :i], y[:, :, : i])
+        e_vals = ndtr((b[:, i, None] - partial) / chol[i, i])
+        prod *= e_vals
+    return prod.mean(axis=1)
+
+
+def reference_genz_estimates(shifts, scales, chol, upper, cfg):
+    """Drop-in serial replacement of ``probability._genz_estimates``."""
+    d = shifts.shape[1]
+    if d == 1:
+        return [reference_genz_batch(shifts, scales, chol, upper, np.empty((0, 0)))]
+    point_sets = reference_qmc_points(d - 1, cfg.samples, cfg.randomizations, cfg.seed)
+    return [reference_genz_batch(shifts, scales, chol, upper, pts) for pts in point_sets]

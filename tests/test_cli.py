@@ -51,7 +51,7 @@ def test_provision_writes_csvs(tmp_path):
     slices = (out / "slices.csv").read_text(encoding="utf-8").splitlines()
     assert slices[1].startswith("tiny,SP,0,micro_0,1,")
     plan = (out / "plan.csv").read_text(encoding="utf-8").splitlines()
-    assert plan[0] == "scenario,variant,slice,kind,element,virtual,count"
+    assert plan[0] == "scenario,variant,repetition,slice,kind,element,virtual,count"
     assert len(plan) > 1  # the accepted slice placed at least one instance
     assert "earnings=" in result.output
 
@@ -136,7 +136,10 @@ def test_provision_runs_every_repetition_with_psp_estimates(tmp_path):
         assert 0.0 < float(row["psp_qmc"]) <= 1.0
         assert 0.0 < float(row["psp_mc"]) <= 1.0
     plan = read_csv(out / "plan.csv")
-    assert [r["variant"] for r in plan if r["kind"] == "node"] == ["SP", "SP", "SP-B", "SP-B"]
+    # One block of rows per report row, each with its own repetition.
+    assert [(r["variant"], r["repetition"]) for r in plan if r["kind"] == "node"] == [
+        ("SP", "0"), ("SP", "1"), ("SP-B", "0"), ("SP-B", "1"),
+    ]
 
 
 def test_export_lp_writes_the_models_the_planner_solves(tmp_path, monkeypatch):

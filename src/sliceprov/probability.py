@@ -1,5 +1,6 @@
-"""Normal CDF machinery, quasi-Monte Carlo box probabilities for the compound
-demand mixture, robustness-margin calibration, and post-hoc plan evaluation."""
+"""Normal CDF machinery, box probabilities for the compound demand mixture
+(exact for independent components, quasi-Monte Carlo for correlated ones),
+robustness-margin calibration, and post-hoc plan evaluation."""
 
 from __future__ import annotations
 
@@ -51,15 +52,12 @@ class QmcConfig:
     samples: int = 2**14  # per mixture component
     randomizations: int = 12
     seed: int = 0
-    abs_tolerance: float = 5e-4
 
     def __post_init__(self):
         if self.samples < 1024:
             raise ValueError("samples must be >= 1024")
         if self.randomizations < 2:
             raise ValueError("randomizations must be >= 2")
-        if self.abs_tolerance <= 0:
-            raise ValueError("abs_tolerance must be positive")
 
 
 def std_normal_cdf(x: float):
@@ -109,10 +107,25 @@ def _cpu_count() -> int:
 # ufuncs (ndtr, ndtri and the elementwise arithmetic) release the GIL, so the
 # threads run them in parallel.  With a single CPU the tasks run inline.
 _WORKERS = _cpu_count()
-_POOL = (
-    ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="sliceprov-qmc")
-    if _WORKERS > 1 else None
-)
+
+
+def _new_pool():
+    if _WORKERS == 1:
+        return None
+    return ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="sliceprov-qmc")
+
+
+def _rebuild_pool_in_child():
+    # A forked child inherits the pool's record of the parent's worker threads
+    # but none of the threads, so tasks submitted to it would never run.
+    global _POOL
+    _POOL = _new_pool()
+
+
+_POOL = _new_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_rebuild_pool_in_child)
+
 # Points are drawn and conditioned in chunks of about _CHUNK_VALUES normal
 # quantiles (512 KiB).  When one randomization needs fewer, a task conditions
 # several randomizations together, as rows of its arrays, so that small
@@ -213,14 +226,23 @@ def _genz_estimates(shifts: np.ndarray, scales: np.ndarray, chol: np.ndarray,
     """Genz sequential-conditioning estimates of Pr{X <= upper} for a batch of
     Gaussians X_j ~ Normal(shifts[j], scales[j]^2 * L L^T).
 
-    Returns one (batch,) array per randomization, in randomization order, or
-    a single exact array when d == 1.  The randomizations run on the module's
-    thread pool; the result does not depend on the thread count.
+    When the Cholesky factor L is diagonal (independent components, which
+    includes d == 1), every conditioning term is Phi(b_i / L_ii) whatever the
+    point, so the probability is the product of the d normal CDFs: a single
+    exact (batch,) array is returned, its factors multiplied in the order the
+    kernel multiplies them, and nothing is sampled.  Otherwise returns one
+    (batch,) array per randomization, in randomization order; the
+    randomizations run on the module's thread pool and the result does not
+    depend on the thread count.
     """
     b = (upper[None, :] - shifts) / scales[:, None]  # (batch, d)
     batch, d = b.shape
-    if d == 1:
-        return [ndtr(b[:, 0] / chol[0, 0])]
+    if not np.tril(chol, -1).any():
+        phi = ndtr(b / np.diag(chol))
+        exact = phi[:, 0]
+        for i in range(1, d):
+            exact = exact * phi[:, i]
+        return [exact]
     samples = cfg.samples
     groups, chunk = _task_plan(batch, d, samples, cfg.randomizations)
     size = _work_values(max(len(g) for g in groups), batch, d, samples, chunk)
@@ -248,8 +270,10 @@ def _genz_estimates(shifts: np.ndarray, scales: np.ndarray, chol: np.ndarray,
 def mvn_box_probability(mean, cov, box: DemandBox, cfg: QmcConfig):
     """Estimate Pr{X <= box.upper} for X ~ Normal(mean, cov).
 
-    Uses the Genz transform (Cholesky plus sequential conditioning onto the
-    unit cube) with randomized scrambled-Sobol rules.  Returns (estimate,
+    Independent components (a diagonal covariance over the stochastic ones)
+    give the exact product of normal CDFs, with error 0.0.  Otherwise uses
+    the Genz transform (Cholesky plus sequential conditioning onto the unit
+    cube) with randomized scrambled-Sobol rules.  Returns (estimate,
     error_estimate) where the error is the standard error over randomizations.
     """
     mean = np.asarray(mean, dtype=float)
@@ -267,7 +291,7 @@ def mvn_box_probability(mean, cov, box: DemandBox, cfg: QmcConfig):
     shifts = mean[sto_idx][None, :]
     scales = np.ones(1)
     terms = _genz_estimates(shifts, scales, chol, upper[sto_idx], cfg)
-    if sto_idx.size == 1:
+    if len(terms) == 1:
         return float(terms[0][0]), 0.0
     estimates = np.array([float(t[0]) for t in terms])
     err = float(np.std(estimates, ddof=1) / np.sqrt(cfg.randomizations))
@@ -299,7 +323,10 @@ def psp_of_box(spec: SliceSpec, box: DemandBox, cfg: QmcConfig):
     sum_k p_k Pr{Normal(k mu, k^2 Gamma) <= upper}, the k = 0 term counting as
     p_0 (an empty user set is always satisfied).
 
-    Returns (estimate, error_estimate).
+    With independent demand components each mixture term is an exact product
+    of normal CDFs and the error is 0.0; with correlated ones each term is
+    estimated by randomized QMC and the error is the standard error over
+    randomizations.  Returns (estimate, error_estimate).
     """
     upper = box.upper
     mu = spec.user_model.mean
@@ -331,7 +358,7 @@ def psp_of_box(spec: SliceSpec, box: DemandBox, cfg: QmcConfig):
         return float(est + weights.sum()), 0.0
     chol = _cholesky_psd(cov[np.ix_(sto_idx, sto_idx)])
     terms = _genz_estimates(shifts, scales, chol, upper[sto_idx], cfg)
-    if sto_idx.size == 1:
+    if len(terms) == 1:
         return float(est + weights @ terms[0]), 0.0
     per_rand = np.array([weights @ t for t in terms])
     err = float(np.std(per_rand, ddof=1) / np.sqrt(cfg.randomizations))

@@ -13,6 +13,7 @@ from sliceprov.demand import (
     VLink,
     Vnf,
 )
+from sliceprov import probability
 from sliceprov.probability import QmcConfig
 from sliceprov.topology import ResourceVector
 
@@ -129,3 +130,13 @@ def reference_genz_estimates(shifts, scales, chol, upper, cfg):
         return [reference_genz_batch(shifts, scales, chol, upper, np.empty((0, 0)))]
     point_sets = reference_qmc_points(d - 1, cfg.samples, cfg.randomizations, cfg.seed)
     return [reference_genz_batch(shifts, scales, chol, upper, pts) for pts in point_sets]
+
+
+def serial(fn, *args):
+    """``fn(*args)`` with the serial reference estimator in place of the kernel."""
+    kernel = probability._genz_estimates
+    probability._genz_estimates = reference_genz_estimates
+    try:
+        return fn(*args)
+    finally:
+        probability._genz_estimates = kernel

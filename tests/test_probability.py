@@ -1,10 +1,21 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from sliceprov.demand import BackgroundModel, slice_catalog
+from sliceprov.demand import (
+    BackgroundModel,
+    SfcGraph,
+    SliceSpec,
+    UserCountPmf,
+    UserDemandModel,
+    VLink,
+    Vnf,
+    sample_aggregate,
+    slice_catalog,
+)
 from sliceprov.probability import (
     DemandBox,
     QmcConfig,
@@ -21,7 +32,7 @@ from sliceprov.probability import (
 )
 from sliceprov.topology import ResourceVector, build_fat_tree
 
-from _helpers import FAST_QMC, micro_spec
+from _helpers import FAST_QMC, correlated_fig_regime_spec, micro_spec, serial
 
 CAPS = {
     "central": ResourceVector(16.0, 32.0, 0.0),
@@ -62,7 +73,7 @@ def test_mvn_box_probability_diagonal():
         upper = mean + rng.uniform(-1.0, 2.0, size=dim) * sd
         expected = float(np.prod(ndtr((upper - mean) / sd)))
         est, err = mvn_box_probability(mean, np.diag(sd**2), DemandBox(upper), FAST_QMC)
-        assert est == pytest.approx(expected, abs=2e-3)
+        assert est == pytest.approx(expected, rel=1e-15) and err == 0.0
 
 
 def test_mvn_box_probability_deterministic_components():
@@ -179,5 +190,98 @@ def test_qmc_config_validation():
         QmcConfig(samples=10)
     with pytest.raises(ValueError):
         QmcConfig(randomizations=1)
-    with pytest.raises(ValueError):
-        QmcConfig(abs_tolerance=0.0)
+
+
+def independent_spec(user_count, slice_id="indep"):
+    """Four stochastic components with unequal variances and a deterministic
+    one with a nonzero mean, all independent."""
+    return SliceSpec(
+        id=slice_id,
+        sfc=SfcGraph(
+            vnfs=(
+                Vnf("vA", ResourceVector(0.5, 0.5, 0.0)),
+                Vnf("vB", ResourceVector(0.4, 0.2, 0.0)),
+            ),
+            vlinks=(VLink("vA", "vB", 0.2),),
+        ),
+        user_model=UserDemandModel(
+            mean=np.array([0.1, 0.2, 0.0, 0.08, 0.05, 0.0, 0.05]),
+            covariance=np.diag([0.01**2, 0.0, 0.0, 0.008**2, 0.02**2, 0.0, 0.005**2]),
+        ),
+        user_count=user_count,
+        income=1.0,
+        required_psp=0.95,
+    )
+
+
+INDEPENDENT_SPECS = [
+    # A binomial mixture with p_0 = 0.3^12 > 0.
+    independent_spec(UserCountPmf.binomial(12, 0.7), "binomial"),
+    # A large mixture: the smallest user counts fall below the pmf cutoff.
+    independent_spec(UserCountPmf.binomial(80, 0.9), "cutoff"),
+    # A heavy empty-user term.
+    independent_spec(UserCountPmf.binomial(3, 0.4), "p0"),
+    independent_spec(UserCountPmf.deterministic(5), "deterministic"),
+    # A single stochastic component.
+    micro_spec(users=3),
+]
+
+
+def close_to(value, reference):
+    return abs(value - reference) <= 1e-15 * abs(reference)
+
+
+# scipy warns that 1500 Sobol points are not a power of 2.
+@pytest.mark.filterwarnings("ignore:The balance properties")
+@pytest.mark.parametrize("cfg", [FAST_QMC, QmcConfig(samples=1500, randomizations=3, seed=7)],
+                         ids=["fast", "odd-samples"])
+@pytest.mark.parametrize("spec", INDEPENDENT_SPECS, ids=lambda spec: spec.id)
+def test_independent_components_are_exact(spec, cfg):
+    # The per-user boxes leave the deterministic component room for one user
+    # only; the aggregate ones keep most user counts.
+    for stat_mode, gamma in (("aggregate", 0.0), ("aggregate", 1.5), ("per_user", 2.0)):
+        box = targets_for_gamma(spec, gamma, stat_mode=stat_mode)
+        value, err = psp_of_box(spec, box, cfg)
+        reference, _ = serial(psp_of_box, spec, box, cfg)
+        assert err == 0.0
+        assert close_to(value, reference)
+    users = spec.user_count.probs.size - 1
+    mean = users * spec.user_model.mean
+    cov = users**2 * spec.user_model.covariance
+    box = DemandBox(mean + np.sqrt(np.diag(cov)))
+    value, err = mvn_box_probability(mean, cov, box, cfg)
+    reference, _ = serial(mvn_box_probability, mean, cov, box, cfg)
+    assert err == 0.0
+    assert close_to(value, reference)
+
+
+@pytest.mark.parametrize("spec", INDEPENDENT_SPECS, ids=lambda spec: spec.id)
+def test_exact_path_calibrates_the_reference_margin(spec):
+    # Per-user boxes cannot reach the PSP here: they fit the deterministic
+    # component of one user only.
+    gamma = find_gamma_s(spec, FAST_QMC, stat_mode="aggregate")
+    assert gamma > 0.0
+    assert gamma == serial(find_gamma_s, spec, FAST_QMC, 1e-3, "aggregate")
+
+
+def test_correlated_components_keep_a_qmc_error():
+    spec = correlated_fig_regime_spec()
+    value, err = psp_of_box(spec, targets_for_gamma(spec, 1.0), FAST_QMC)
+    assert 0.0 < value < 1.0 and err > 0.0
+    cov = spec.user_model.covariance[:2, :2]
+    _, err = mvn_box_probability(np.zeros(2), cov, DemandBox(np.zeros(2)), FAST_QMC)
+    assert err > 0.0
+
+
+def test_catalog_margins_reach_their_psp():
+    catalog = slice_catalog()
+    started = time.perf_counter()
+    gammas = [find_gamma_s(spec, QmcConfig()) for spec in catalog]
+    assert time.perf_counter() - started < 2.0
+    trials = 200_000
+    for index, (spec, gamma) in enumerate(zip(catalog, gammas)):
+        box = targets_for_gamma(spec, gamma)
+        draws = sample_aggregate(spec, index, size=trials)
+        hit = float(np.mean(np.all(draws <= box.upper[None, :] + 1e-12, axis=1)))
+        stderr = np.sqrt(max(hit * (1.0 - hit), 1e-12) / trials)
+        assert hit >= spec.required_psp - 4.0 * stderr, (spec.id, gamma, hit)

@@ -2,6 +2,8 @@
 its thread safety, and the Sobol properties it relies on."""
 
 import copy
+import os
+import signal
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -20,7 +22,7 @@ from sliceprov.probability import (
 )
 from sliceprov.topology import ResourceVector
 
-from _helpers import reference_genz_estimates
+from _helpers import FAST_QMC, correlated_fig_regime_spec, serial
 
 # scipy warns when a Sobol draw does not start with a power-of-2 count
 # (samples=1500 below), for the serial reference and the kernel alike.
@@ -51,16 +53,6 @@ def random_mixture_spec(rng, stochastic, batch, slice_id="mix"):
         income=1.0,
         required_psp=0.9,
     )
-
-
-def serial(fn, *args):
-    """``fn(*args)`` with the serial reference estimator in place of the kernel."""
-    kernel = probability._genz_estimates
-    probability._genz_estimates = reference_genz_estimates
-    try:
-        return fn(*args)
-    finally:
-        probability._genz_estimates = kernel
 
 
 @pytest.mark.parametrize("samples", [1024, 1500, 16384])
@@ -147,3 +139,31 @@ def test_coarse_point_set_is_a_prefix_of_the_full_set():
     full = copy.deepcopy(probability._sobol_engine(14, 5, 0)).random(2**14)
     coarse = copy.deepcopy(probability._sobol_engine(14, 5, 0)).random(2**11)
     assert np.array_equal(coarse, full[: 2**11])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_can_estimate_after_the_parent():
+    # A correlated spec: independent components are computed exactly and
+    # never reach the thread pool.
+    spec = correlated_fig_regime_spec()
+    box = targets_for_gamma(spec, 1.0)
+    expected = psp_of_box(spec, box, FAST_QMC)
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            signal.alarm(10)  # a hung child dies of SIGALRM
+            value, err = psp_of_box(spec, box, FAST_QMC)
+            os.write(write_end, f"{value.hex()} {err.hex()}".encode())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    _, status = os.waitpid(pid, 0)
+    with os.fdopen(read_end, "rb") as pipe:
+        reply = pipe.read().decode()
+    assert os.WIFEXITED(status), f"child killed by signal {os.WTERMSIG(status)}"
+    assert os.WEXITSTATUS(status) == 0
+    assert tuple(float.fromhex(x) for x in reply.split()) == expected

@@ -9,7 +9,7 @@ import numpy as np
 from scipy import stats
 from scipy.special import ndtri
 
-from .topology import InfrastructureGraph, ResourceVector
+from .topology import RESOURCE_TYPES, InfrastructureGraph, ResourceVector
 
 PSD_TOLERANCE = 1e-10
 PMF_TOLERANCE = 1e-12
@@ -219,11 +219,22 @@ def aggregate_moments(spec: SliceSpec):
     return e_n * mu, e_n2 * var + var_n * mu**2
 
 
+# Uniforms are clipped to [U_CLIP, 1 - U_CLIP] before the inverse normal CDF,
+# so no standard normal draw exceeds Z_MAX (about 8.2095).
+U_CLIP = 1e-16
+Z_MAX = float(ndtri(1.0 - U_CLIP))
+
+# Rows of uniforms that sample_background draws at a time.
+BACKGROUND_BLOCK_ROWS = 2048
+
+
+def _to_normals(u: np.ndarray) -> np.ndarray:
+    return ndtri(np.clip(u, U_CLIP, 1.0 - U_CLIP))
+
+
 def _standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
     # Inverse-CDF sampling keeps the draw algorithm explicit and reproducible.
-    u = rng.random(shape)
-    u = np.clip(u, 1e-16, 1.0 - 1e-16)
-    return ndtri(u)
+    return _to_normals(rng.random(shape))
 
 
 def sample_aggregate(
@@ -253,24 +264,68 @@ def sample_aggregate(
     return out
 
 
-def sample_background(model: BackgroundModel, seed, size: int = 1):
-    """Draw background load vectors; returns (node_loads, link_loads) where
-    node_loads has shape (size, |N|, 3) and link_loads (size, |E|), both in the
-    iteration order of the model dicts.  Negative draws are clamped to zero."""
+def _background_params(model: BackgroundModel, keys) -> list:
+    """(part, column, mean, std) of each key, a (node id, resource type) or a
+    link key.  Part 0 is the node uniforms, 3 columns per node in the model's
+    node order; part 1 the link uniforms, one column per link in its link
+    order."""
+    node_pos = {node_id: 3 * i for i, node_id in enumerate(model.node_mean)}
+    link_pos = {key: j for j, key in enumerate(model.link_mean)}
+    params = []
+    for key in keys:
+        if key in link_pos:
+            if key[0] in node_pos and key[1] in RESOURCE_TYPES:
+                raise ValueError(f"{key!r} names both a link and a node resource")
+            params.append((1, link_pos[key], model.link_mean[key], model.link_std[key]))
+        else:
+            node_id, rtype = key
+            params.append((
+                0,
+                node_pos[node_id] + RESOURCE_TYPES.index(rtype),
+                model.node_mean[node_id].get(rtype),
+                model.node_std[node_id].get(rtype),
+            ))
+    return params
+
+
+def background_peaks(model: BackgroundModel, keys) -> np.ndarray:
+    """An upper bound on every load ``sample_background`` can draw for each
+    key: mean + std * Z_MAX clamped at zero, with Z_MAX widened by 1e-6 to
+    cover the rounding of the inverse normal CDF."""
+    params = _background_params(model, keys)
+    mean = np.array([p[2] for p in params], dtype=float)
+    std = np.array([p[3] for p in params], dtype=float)
+    return np.maximum(mean + std * (Z_MAX + 1e-6), 0.0)
+
+
+def sample_background(model: BackgroundModel, seed, size: int = 1, *, keys) -> np.ndarray:
+    """Draw the background loads of ``keys``, each a (node id, resource type)
+    or a link key; returns shape (size, len(keys)).
+
+    The uniforms are drawn as if by one (size, |N|, 3) draw over the model's
+    nodes and then one (size, |E|) draw over its links, in blocks of
+    ``BACKGROUND_BLOCK_ROWS`` rows, and only the requested columns go through
+    the inverse normal CDF.  So a key's loads do not depend on which other keys
+    are requested, and beyond the result memory does not grow with ``size``.
+    Negative draws are clamped to zero."""
+    params = _background_params(model, keys)
+    widths = (3 * len(model.node_mean), len(model.link_mean))
     rng = np.random.default_rng(seed)
-    node_ids = list(model.node_mean)
-    link_keys = list(model.link_mean)
-    node_mu = np.array([model.node_mean[i].as_tuple() for i in node_ids], dtype=float)
-    node_sd = np.array([model.node_std[i].as_tuple() for i in node_ids], dtype=float)
-    link_mu = np.array([model.link_mean[k] for k in link_keys], dtype=float)
-    link_sd = np.array([model.link_std[k] for k in link_keys], dtype=float)
-    node_mu = node_mu.reshape(1, -1, 3)
-    node_sd = node_sd.reshape(1, -1, 3)
-    nodes = node_mu + node_sd * _standard_normals(rng, (size,) + node_mu.shape[1:])
-    links = link_mu[None, :] + link_sd[None, :] * _standard_normals(rng, (size, link_mu.size))
-    np.clip(nodes, 0.0, None, out=nodes)
-    np.clip(links, 0.0, None, out=links)
-    return nodes, links
+    out = np.empty((size, len(keys)))
+    # No uniform after the last requested part is drawn.
+    last = max((p[0] for p in params), default=-1)
+    for part, width in enumerate(widths[: last + 1]):
+        dest = [i for i, p in enumerate(params) if p[0] == part]
+        source = np.array([params[i][1] for i in dest], dtype=np.intp)
+        mean = np.array([params[i][2] for i in dest], dtype=float)
+        std = np.array([params[i][3] for i in dest], dtype=float)
+        for start in range(0, size, BACKGROUND_BLOCK_ROWS):
+            stop = min(start + BACKGROUND_BLOCK_ROWS, size)
+            u = rng.random((stop - start, width))
+            if dest:
+                loads = mean + std * _to_normals(u[:, source])
+                out[start:stop, dest] = np.clip(loads, 0.0, None)
+    return out
 
 
 def _chain(vnf_table, link_table, correlation: float):

@@ -497,10 +497,8 @@ def plan_impact_probabilities(plan, graph: InfrastructureGraph, model: Backgroun
     ``provisioned_link`` (link key -> amount) mappings.  Returns
     (node_probs, link_probs) keyed the same way.
     """
-    prov_node = getattr(plan, "provisioned_node", plan)
-    prov_link = getattr(plan, "provisioned_link", None)
-    if prov_link is None:
-        prov_node, prov_link = plan
+    prov_node = plan.provisioned_node
+    prov_link = plan.provisioned_link
     node_probs = {}
     for node_id, node in graph.nodes.items():
         mu = model.node_mean[node_id]

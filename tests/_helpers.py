@@ -12,10 +12,13 @@ from sliceprov.demand import (
     UserDemandModel,
     VLink,
     Vnf,
+    _standard_normals,
+    sample_aggregate,
 )
 from sliceprov import probability
+from sliceprov.evaluation import wilson_interval
 from sliceprov.probability import QmcConfig
-from sliceprov.topology import ResourceVector
+from sliceprov.topology import RESOURCE_TYPES, ResourceVector
 
 # Cheap QMC settings for unit tests; acceptance tests use the defaults.
 FAST_QMC = QmcConfig(samples=1024, randomizations=4)
@@ -140,3 +143,54 @@ def serial(fn, *args):
         return fn(*args)
     finally:
         probability._genz_estimates = kernel
+
+
+def reference_sample_background(model, seed, size):
+    """The full-draw background sampler: (size, |N|, 3) node loads and
+    (size, |E|) link loads, in the iteration order of the model dicts."""
+    rng = np.random.default_rng(seed)
+    node_ids = list(model.node_mean)
+    link_keys = list(model.link_mean)
+    node_mu = np.array([model.node_mean[i].as_tuple() for i in node_ids], dtype=float)
+    node_sd = np.array([model.node_std[i].as_tuple() for i in node_ids], dtype=float)
+    link_mu = np.array([model.link_mean[k] for k in link_keys], dtype=float)
+    link_sd = np.array([model.link_std[k] for k in link_keys], dtype=float)
+    node_mu = node_mu.reshape(1, -1, 3)
+    node_sd = node_sd.reshape(1, -1, 3)
+    nodes = node_mu + node_sd * _standard_normals(rng, (size,) + node_mu.shape[1:])
+    links = link_mu[None, :] + link_sd[None, :] * _standard_normals(rng, (size, link_mu.size))
+    np.clip(nodes, 0.0, None, out=nodes)
+    np.clip(links, 0.0, None, out=links)
+    return nodes, links
+
+
+def reference_verify_by_simulation(plan, graph, background, trials, seed=0):
+    """The full-draw verification: every background column of every trial is
+    drawn at once and read by position, which assumes the model's dicts are
+    in the graph's order."""
+    psp = {}
+    for index, (sid, slice_plan) in enumerate(sorted(plan.slices.items())):
+        box = slice_plan.provisioned_box()
+        if box is None:
+            continue
+        samples = sample_aggregate(slice_plan.spec, seed=(seed, 1, index), size=trials)
+        hits = int(np.sum(np.all(samples <= box.upper[None, :] + 1e-9, axis=1)))
+        psp[sid] = (hits / trials, wilson_interval(hits, trials))
+    node_loads, link_loads = reference_sample_background(background, (seed, 2), trials)
+    provisioned_node = plan.provisioned_node
+    provisioned_link = plan.provisioned_link
+    impact = {}
+    for i, node_id in enumerate(graph.nodes):
+        for t_index, rtype in enumerate(RESOURCE_TYPES):
+            capacity = graph.nodes[node_id].capacity.get(rtype)
+            provisioned = provisioned_node.get((node_id, rtype), 0.0)
+            overruns = int(
+                np.sum(provisioned + node_loads[:, i, t_index] > capacity + 1e-12)
+            )
+            impact[(node_id, rtype)] = (overruns / trials, wilson_interval(overruns, trials))
+    for j, key in enumerate(graph.links):
+        capacity = graph.links[key].bandwidth
+        provisioned = provisioned_link.get(key, 0.0)
+        overruns = int(np.sum(provisioned + link_loads[:, j] > capacity + 1e-12))
+        impact[key] = (overruns / trials, wilson_interval(overruns, trials))
+    return {"psp": psp, "impact": impact}

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from sliceprov.demand import (
+    BACKGROUND_BLOCK_ROWS,
+    U_CLIP,
+    Z_MAX,
     BackgroundModel,
     SfcGraph,
     SliceSpec,
@@ -9,13 +13,14 @@ from sliceprov.demand import (
     UserDemandModel,
     Vnf,
     aggregate_moments,
+    background_peaks,
     sample_aggregate,
     sample_background,
     slice_catalog,
 )
-from sliceprov.topology import ResourceVector, build_fat_tree
+from sliceprov.topology import RESOURCE_TYPES, ResourceVector, build_fat_tree
 
-from _helpers import micro_spec
+from _helpers import micro_spec, reference_sample_background
 
 CAPS = {
     "central": ResourceVector(16.0, 32.0, 0.0),
@@ -147,16 +152,67 @@ def test_background_model_from_graph():
     assert all(max(rv.as_tuple()) == 0.0 for rv in zero.node_mean.values())
 
 
+def _every_key(model):
+    """Every node resource, then every link, in the order the sampler draws."""
+    keys = [(node_id, rtype) for node_id in model.node_mean for rtype in RESOURCE_TYPES]
+    return keys + list(model.link_mean)
+
+
 def test_sample_background_shapes_and_clamp():
     graph = build_fat_tree(2, CAPS, bandwidths=BWS)
     model = BackgroundModel.from_graph(graph)
-    nodes, links = sample_background(model, seed=5, size=64)
-    assert nodes.shape == (64, 15, 3)
-    assert links.shape == (64, len(graph.links))
-    assert nodes.min() >= 0.0
-    assert links.min() >= 0.0
-    nodes2, _ = sample_background(model, seed=5, size=64)
-    assert np.array_equal(nodes, nodes2)
+    keys = _every_key(model)
+    loads = sample_background(model, seed=5, size=64, keys=keys)
+    assert loads.shape == (64, 3 * 15 + len(graph.links))
+    assert loads.min() >= 0.0
+    assert np.array_equal(loads, sample_background(model, seed=5, size=64, keys=keys))
+    assert sample_background(model, seed=5, size=64, keys=[]).shape == (64, 0)
+
+
+@pytest.mark.parametrize("size", [1, BACKGROUND_BLOCK_ROWS, 2 * BACKGROUND_BLOCK_ROWS + 3])
+def test_sample_background_blocks_equal_one_draw(size):
+    graph = build_fat_tree(2, CAPS, bandwidths=BWS)
+    model = BackgroundModel.from_graph(graph, mean_frac=0.1, std_frac=0.1)
+    nodes, links = reference_sample_background(model, 9, size)
+    full = np.concatenate([nodes.reshape(size, -1), links], axis=1)
+    every = _every_key(model)
+    assert np.array_equal(sample_background(model, seed=9, size=size, keys=every), full)
+    # Any subset of keys, in any order, gets the same columns.
+    keys = [("rrh-0-1-1", "w"), ("central", "regional-1"), ("central", "c"),
+            ("edge-1-0", "m"), ("rrh-1-1-0", "rrh-1-1-0")]
+    expected = full[:, [every.index(key) for key in keys]]
+    assert np.array_equal(sample_background(model, seed=9, size=size, keys=keys), expected)
+    nodes_only = [key for key in keys if key[1] in RESOURCE_TYPES]
+    assert np.array_equal(
+        sample_background(model, seed=9, size=size, keys=nodes_only),
+        full[:, [every.index(key) for key in nodes_only]],
+    )
+
+
+def test_sample_background_rejects_unknown_and_ambiguous_keys():
+    graph = build_fat_tree(2, CAPS, bandwidths=BWS)
+    model = BackgroundModel.from_graph(graph)
+    with pytest.raises(KeyError):
+        sample_background(model, seed=1, keys=[("ghost", "c")])
+    # A link to a node named like a resource type reads as either kind.
+    model.link_mean[("central", "c")] = model.link_std[("central", "c")] = 0.0
+    with pytest.raises(ValueError):
+        sample_background(model, seed=1, keys=[("central", "c")])
+
+
+def test_background_peaks_bound_every_draw():
+    graph = build_fat_tree(2, CAPS, bandwidths=BWS)
+    model = BackgroundModel.from_graph(graph)
+    keys = [("rrh-0-0-0", "w"), ("central", "w"), ("central", "regional-0")]
+    peaks = background_peaks(model, keys)
+    assert peaks[1] == 0.0  # no wireless capacity, so no background load
+    # The largest uniform the generator returns gives the largest normal.
+    z = ndtri(np.clip(1.0 - 2.0**-53, U_CLIP, 1.0 - U_CLIP))
+    assert z <= Z_MAX
+    largest = np.array([0.4 + 0.1 * z, 0.0, 2.0 + 0.5 * z])
+    assert np.all(largest <= peaks)
+    assert np.all(peaks < largest + 1e-5)
+    assert np.all(sample_background(model, seed=2, size=10_000, keys=keys) <= peaks)
 
 
 def test_model_validation():

@@ -1,11 +1,13 @@
 import io
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from sliceprov import planner
-from sliceprov.demand import BackgroundModel
+from sliceprov.demand import BACKGROUND_BLOCK_ROWS, Z_MAX, BackgroundModel, slice_catalog
 from sliceprov.evaluation import (
     IMPACT_SWEEP_GRID,
     PSP_SWEEP_GRID,
@@ -24,9 +26,9 @@ from sliceprov.evaluation import (
     wilson_interval,
 )
 from sliceprov.planner import ProvisioningPlan, SlicePlan
-from sliceprov.probability import DemandBox
+from sliceprov.probability import DemandBox, plan_impact_probabilities
 
-from _helpers import FAST_QMC, chain_spec, micro_spec
+from _helpers import FAST_QMC, chain_spec, micro_spec, reference_verify_by_simulation
 
 
 def test_builtin_scenario_names():
@@ -143,6 +145,104 @@ def test_verify_by_simulation_toy_plan():
     assert rrh_c[0] > 0.1
     with pytest.raises(ValueError):
         verify_by_simulation(plan, graph, background, trials=100)
+
+
+def test_verification_reads_background_loads_by_key():
+    graph = GraphConfig().build()
+    background = BackgroundModel.from_graph(graph)
+    reordered = BackgroundModel(
+        *(dict(reversed(list(d.items()))) for d in (
+            background.node_mean, background.node_std,
+            background.link_mean, background.link_std,
+        ))
+    )
+    plan = _toy_plan(graph)
+    trials = 20_000
+    outcome = verify_by_simulation(plan, graph, reordered, trials=trials, seed=2)
+    node_probs, link_probs = plan_impact_probabilities(plan, graph, reordered)
+    exact = {**node_probs, **link_probs}
+    assert outcome["impact"].keys() == exact.keys()
+    for key, p in exact.items():
+        freq = outcome["impact"][key][0]
+        # Five standard errors, floored at p(1 - p) = 1e-4 for tails near 0 or 1.
+        assert abs(freq - p) <= 5 * math.sqrt(max(p * (1 - p), 1e-4) / trials), key
+
+
+@pytest.fixture(scope="module")
+def catalog_plans():
+    graph = GraphConfig().build()
+    background = BackgroundModel.from_graph(graph)
+    type1, type2, _ = slice_catalog()
+    plans = {
+        (spec.id, name): planner.provision(
+            [spec], graph, planner.variant_from_name(name), background=background
+        )
+        for spec in (type1, type2)
+        for name in ("SP", "SP-B")
+    }
+    return graph, background, plans
+
+
+@pytest.mark.parametrize("trials", [10_000, 5 * BACKGROUND_BLOCK_ROWS, 12_345])
+def test_verification_equals_the_full_draw(catalog_plans, trials):
+    graph, background, plans = catalog_plans
+    for key, plan in plans.items():
+        assert plan.accepted_ids, key
+        expected = reference_verify_by_simulation(plan, graph, background, trials, seed=7)
+        assert verify_by_simulation(plan, graph, background, trials, seed=7) == expected, key
+
+
+def _edge_plans(graph, background, z, offset=0.0):
+    """Plans provisioned at capacity + offset - (mu + sd * z), and a few ulps
+    either side, on one node resource and one link."""
+    node_key, link_key = ("rrh-0-1-0", "w"), ("edge-0-1", "rrh-0-1-0")
+    node_id, rtype = node_key
+    node_edge = graph.nodes[node_id].capacity.get(rtype) + offset - (
+        background.node_mean[node_id].get(rtype) + background.node_std[node_id].get(rtype) * z
+    )
+    link_edge = graph.links[link_key].bandwidth + offset - (
+        background.link_mean[link_key] + background.link_std[link_key] * z
+    )
+    for ulps in range(-3, 4):
+        yield SimpleNamespace(
+            slices={},
+            provisioned_node={node_key: node_edge + ulps * math.ulp(node_edge)},
+            provisioned_link={link_key: link_edge + ulps * math.ulp(link_edge)},
+        )
+
+
+def test_verification_equals_the_full_draw_at_the_dead_column_bound():
+    graph = GraphConfig().build()
+    background = BackgroundModel.from_graph(graph)
+    for z in (3.0, Z_MAX):
+        for plan in _edge_plans(graph, background, z):
+            expected = reference_verify_by_simulation(plan, graph, background, 10_000, seed=4)
+            assert verify_by_simulation(plan, graph, background, 10_000, seed=4) == expected
+            # About 13 of 10^4 draws lie beyond 3 standard deviations.
+            assert (expected["impact"][("rrh-0-1-0", "w")][0] > 0) == (z == 3.0)
+    # Without spread the background overruns in every trial or in none, and
+    # these plans straddle the overrun threshold, capacity + 1e-12.
+    fixed = BackgroundModel.from_graph(graph, std_frac=0.0)
+    counts = set()
+    for plan in _edge_plans(graph, fixed, 0.0, offset=1e-12):
+        outcome = verify_by_simulation(plan, graph, fixed, 10_000, seed=4)
+        assert outcome == reference_verify_by_simulation(plan, graph, fixed, 10_000, seed=4)
+        counts.add((outcome["impact"][("rrh-0-1-0", "w")][0],
+                    outcome["impact"][("edge-0-1", "rrh-0-1-0")][0]))
+    assert {0.0, 1.0} <= {node for node, _ in counts}
+    assert {0.0, 1.0} <= {link for _, link in counts}
+
+
+def test_verification_memory_is_bounded(catalog_plans):
+    graph, background, plans = catalog_plans
+    plan = plans[("type1", "SP-B")]
+    tracemalloc.start()
+    try:
+        verify_by_simulation(plan, graph, background, trials=20_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def _report(wall_time=1.5):

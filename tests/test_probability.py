@@ -1,5 +1,6 @@
 import dataclasses
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -159,7 +160,8 @@ def test_plan_impact_probabilities_known_values():
     # Provision exactly capacity - mean on one RRH wireless: tail prob 1/2.
     rrh = "rrh-0-0-0"
     prov_node = {(rrh, "w"): 2.0 - 0.2 * 2.0}
-    node_probs, link_probs = plan_impact_probabilities((prov_node, {}), graph, model)
+    plan = SimpleNamespace(provisioned_node=prov_node, provisioned_link={})
+    node_probs, link_probs = plan_impact_probabilities(plan, graph, model)
     assert node_probs[(rrh, "w")] == pytest.approx(0.5, abs=1e-12)
     # Unprovisioned elements sit far in the safe tail.
     assert node_probs[("central", "c")] < 1e-12
@@ -169,9 +171,11 @@ def test_plan_impact_probabilities_known_values():
 def test_plan_impact_probabilities_deterministic_background():
     graph = build_fat_tree(2, CAPS, bandwidths=BWS)
     zero = BackgroundModel.zero(graph)
-    node_probs, _ = plan_impact_probabilities(({("central", "c"): 17.0}, {}), graph, zero)
+    plan = SimpleNamespace(provisioned_node={("central", "c"): 17.0}, provisioned_link={})
+    node_probs, _ = plan_impact_probabilities(plan, graph, zero)
     assert node_probs[("central", "c")] == 1.0  # exceeds capacity outright
-    node_probs, _ = plan_impact_probabilities(({("central", "c"): 15.0}, {}), graph, zero)
+    plan = SimpleNamespace(provisioned_node={("central", "c"): 15.0}, provisioned_link={})
+    node_probs, _ = plan_impact_probabilities(plan, graph, zero)
     assert node_probs[("central", "c")] == 0.0
 
 

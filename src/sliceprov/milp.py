@@ -91,12 +91,6 @@ class MilpModel:
                 raise ValueError(f"objective references unknown variable {v}")
         self.objective = dict(coeff_map)
 
-    def validate(self) -> None:
-        for constraint in self.constraints:
-            for _, v in constraint.terms:
-                if v not in self.variables:
-                    raise ValueError(f"unknown variable {v} in {constraint.name}")
-
 
 def sanitize(token: str) -> str:
     return _sanitize_str(str(token))
@@ -478,19 +472,8 @@ def _objective(slices, graph):
     coeffs = {}
     for spec in slices:
         coeffs[accept_var(spec.id)] = spec.income
-        for node_id, node in graph.nodes.items():
-            coeffs[used_var(spec.id, node_id)] = -node.fixed_cost
-            for vnf in spec.sfc.vnfs:
-                unit = sum(
-                    vnf.requirement.get(rtype) * node.unit_cost.get(rtype)
-                    for rtype in RESOURCE_TYPES
-                )
-                coeffs[node_var(spec.id, node_id, vnf.name)] = -unit
-        for key, link in graph.links.items():
-            for vlink in spec.sfc.vlinks:
-                coeffs[link_var(spec.id, key[0], key[1], vlink.src, vlink.dst)] = (
-                    -vlink.bandwidth * link.unit_cost
-                )
+        for cost, var in slice_cost_terms(spec, graph):
+            coeffs[var] = -cost
     return coeffs
 
 
@@ -514,7 +497,6 @@ def _build(slices, graph, targets, node_reserves, link_reserves,
             model.add_constraint(row)
     _add_capacity_rows(model, slices, graph, node_cap, link_cap)
     model.set_objective(_objective(slices, graph))
-    model.validate()
     return model
 
 

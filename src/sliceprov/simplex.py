@@ -1,4 +1,4 @@
-"""Dense bounded-variable simplex with cold and warm starts.
+"""Dense bounded-variable simplex, started from a basis.
 
 Solves  minimize c'x  subject to  A x (<=, =, >=) b,  l <= x <= u.
 
@@ -10,15 +10,17 @@ a bound flip instead of a basis exchange.  Dantzig pricing is used until a
 configurable run of degenerate pivots, after which Bland's rule guarantees
 termination.
 
-Without a starting basis, :func:`solve_lp` runs the two-phase primal method
-from a slack crash basis.  Given the optimal :class:`Basis` of an LP that
-differs only in its variable bounds (a branch-and-bound parent), it instead
-rebuilds the tableau from that basis with one factorization, recomputes the
-basic values from the new bounds and runs a bounded-variable dual simplex to
-primal feasibility: the parent's basis stays dual feasible, so no phase 1 is
-needed and an infeasible child is recognised by a row that no nonbasic column
-can repair.  A primal phase 2 then removes any dual infeasibility left by
-round-off; it stops at once when the basis is already optimal.
+Every solve builds its tableau from a basis over ``[A | slacks]`` with one
+factorization and runs the same two phases.  A bounded-variable dual simplex
+first drives the basic values into their bounds: a row that no nonbasic
+column can repair proves the LP infeasible.  A primal phase 2 then reaches
+optimality, or finds a ray along which the LP is unbounded.  Given the
+optimal :class:`Basis` of an LP that differs only in its variable bounds (a
+branch-and-bound parent), the dual phase starts from that basis, which stays
+dual feasible, and phase 2 only removes what round-off left.  Without one
+(or when it is singular) the start is the slack basis with every structural
+at its lower bound, which is dual feasible once the costs are clipped at
+zero; phase 2 then brings back the negative costs.
 """
 
 from __future__ import annotations
@@ -34,17 +36,17 @@ BASIC = 2
 _INF = np.inf
 
 # Largest deviation of B^-1 B from the identity accepted for a warm-start
-# basis; a worse factorization falls back to a cold solve.
+# basis; a worse factorization falls back to the slack basis.
 _FACTOR_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class Basis:
-    """A simplex basis over the columns ``[A | slacks | artificials]``.
+    """A simplex basis over the columns ``[A | slacks]``.
 
     ``basic[i]`` is the column basic in row i; ``status`` holds AT_LOWER,
-    AT_UPPER or BASIC for every column (n structural, then one slack and one
-    artificial per row).
+    AT_UPPER or BASIC for every column (n structural, then one slack per
+    row).
     """
 
     basic: np.ndarray
@@ -62,7 +64,7 @@ class LpResult:
 
 class _Tableau:
     def __init__(self, T, basis, status, xB, lower, upper, pivot_tol, degenerate_limit):
-        self.m, self.ncols = T.shape
+        self.m = T.shape[0]
         self.T = T
         self.basis = basis
         self.status = status
@@ -74,82 +76,31 @@ class _Tableau:
         self.iterations = 0
 
     @classmethod
-    def crash(cls, A, slack_sign, b, lower, upper, pivot_tol, degenerate_limit):
-        """Slack crash tableau over ``[A | diag(slack_sign) | artificials]``.
-        Rows whose slack value is feasible at the crash point start with the
-        slack basic (no phase-1 work); only violated rows receive an
-        artificial column."""
-        m = A.shape[0]
-        A = np.hstack([A, np.diag(slack_sign)])
-        n = A.shape[1]
-        slack_index = n - m + np.arange(m)
-        x0 = np.where(np.isfinite(lower), lower, 0.0)
-        x0[slack_index] = 0.0
-        residual = b - A @ x0  # value the row-i basic column must absorb
-        slack_value = residual * slack_sign
-        slack_ok = (slack_value >= -pivot_tol) & (
-            slack_value <= upper[slack_index] + pivot_tol
-        )
-        # One artificial per infeasible row, signed so its basic value is >= 0.
-        lower_full = np.concatenate([lower, np.zeros(m)])
-        upper_full = np.concatenate([upper, np.zeros(m)])
-        upper_full[n:][~slack_ok] = _INF
-        art_sign = np.where(residual < 0, -1.0, 1.0)
-        T = np.hstack([A, np.zeros((m, m))])
-        T[np.arange(m), n + np.arange(m)] = art_sign
-        status = np.full(n + m, AT_LOWER, dtype=np.int8)
-        basis = np.where(slack_ok, slack_index, n + np.arange(m))
-        xB = np.where(
-            slack_ok,
-            np.clip(slack_value, 0.0, np.where(np.isfinite(upper[slack_index]),
-                                               upper[slack_index], _INF)),
-            np.abs(residual),
-        )
-        # Normalize rows so every basic column is +e_i (basis inverse is a
-        # +/-1 diagonal matrix).
-        row_scale = np.where(
-            slack_ok, slack_sign, art_sign
-        )
-        T *= row_scale[:, None]
-        status[basis] = BASIC
-        tab = cls(T, basis, status, xB, lower_full, upper_full, pivot_tol,
-                  degenerate_limit)
-        tab.has_artificials = bool(np.any(~slack_ok))
-        return tab
-
-    @classmethod
-    def from_basis(cls, A, slack_sign, b, lower, upper, start, pivot_tol,
-                   degenerate_limit):
-        """Tableau of ``start`` over ``[A | diag(slack_sign) | I]``
-        (artificials fixed at zero) from one factorization of its basis
-        matrix, with basic values recomputed from ``lower``/``upper``.
-        Returns None when the basis matrix is singular or too
-        ill-conditioned."""
-        m = A.shape[0]
-        A = np.hstack([A, np.diag(slack_sign)])
-        n = A.shape[1]
+    def from_basis(cls, A, b, lower, upper, start, pivot_tol, degenerate_limit):
+        """Tableau of ``start`` over the columns of ``A`` (structurals and
+        slacks) from one factorization of its basis matrix, with basic values
+        recomputed from ``lower``/``upper``.  Returns None when the basis
+        matrix is singular or too ill-conditioned."""
+        m, n = A.shape
         basic = np.array(start.basic)
-        if basic.shape != (m,) or np.shape(start.status) != (n + m,):
+        if basic.shape != (m,) or np.shape(start.status) != (n,):
             raise ValueError("starting basis does not match the LP dimensions")
         try:
-            inv = np.linalg.inv(np.hstack([A, np.eye(m)])[:, basic])
+            inv = np.linalg.inv(A[:, basic])
         except np.linalg.LinAlgError:
             return None
-        T = np.hstack([inv @ A, inv])
+        T = inv @ A
         identity = np.eye(m)
         if not np.all(np.isfinite(T)) or (
             m and np.abs(T[:, basic] - identity).max() > _FACTOR_TOL
         ):
             return None
         T[:, basic] = identity
-        lower_full = np.concatenate([lower, np.zeros(m)])
-        upper_full = np.concatenate([upper, np.zeros(m)])
         status = np.array(start.status, dtype=np.int8)
         status[basic] = BASIC
-        tab = cls(T, basic, status, np.zeros(m), lower_full, upper_full,
-                  pivot_tol, degenerate_limit)
-        xN = tab.nonbasic_values()
-        tab.xB = inv @ (b - A @ xN[:n])
+        tab = cls(T, basic, status, np.zeros(m), lower, upper, pivot_tol,
+                  degenerate_limit)
+        tab.xB = inv @ (b - A @ tab.nonbasic_values())
         return tab
 
     def nonbasic_values(self):
@@ -345,11 +296,11 @@ def solve_lp(
 
     ``relations`` is a sequence of "<=", "=", ">=" per row.  Rows are
     normalized to equalities by adding slack columns with the appropriate
-    bounds.  Without ``basis`` the LP is solved with a two-phase method using
-    artificial columns; with the :class:`Basis` of an optimal solve of the
-    same rows and objective under other bounds, it is re-solved by the dual
-    simplex from that basis (falling back to the cold path when the basis
-    is singular).  An optimal result carries its final basis.
+    bounds.  ``basis`` may give the :class:`Basis` of an optimal solve of the
+    same rows and objective under other bounds; the LP is then re-solved by
+    the dual simplex from that basis.  Without one, or when it is singular,
+    the solve starts from the slack basis with every structural at its lower
+    bound.  An optimal result carries its final basis.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -366,46 +317,36 @@ def solve_lp(
             slack_upper[i] = 0.0
         elif rel != "<=":
             raise ValueError(f"unknown relation {rel!r}")
+    A_full = np.hstack([A, np.diag(slack_sign)])
     lower_full = np.concatenate([lower, np.zeros(m)])
     upper_full = np.concatenate([upper, slack_upper])
     n_full = n + m
     degenerate_limit = 10 * n_full
     iteration_limit = 2000 * (m + n_full)
-    c2 = np.zeros(n_full + m)
-    c2[:n] = c
+    c_full = np.concatenate([c, np.zeros(m)])
 
     tab = None
+    dual_costs = c_full
     if basis is not None:
-        tab = _Tableau.from_basis(
-            A, slack_sign, b, lower_full, upper_full, basis, pivot_tol,
-            degenerate_limit,
+        tab = _Tableau.from_basis(A_full, b, lower_full, upper_full, basis,
+                                  pivot_tol, degenerate_limit)
+    if tab is None:
+        # Every structural at its lower bound: dual feasible for the costs
+        # clipped at zero.
+        slack_basis = Basis(
+            basic=np.arange(n, n_full),
+            status=np.repeat(np.int8([AT_LOWER, BASIC]), [n, m]),
         )
-    if tab is not None:
-        status = tab.dual_run(c2, feas_tol, iteration_limit)
-        if status == "iteration_limit":
-            raise RuntimeError("simplex iteration limit exceeded in the dual phase")
-        if status == "infeasible":
-            return LpResult(status="infeasible", iterations=tab.iterations)
-    else:
-        tab = _Tableau.crash(
-            A, slack_sign, b, lower_full, upper_full, pivot_tol, degenerate_limit
-        )
-        if tab.has_artificials:
-            # Phase 1: drive the artificial columns to zero.
-            c1 = np.zeros(tab.ncols)
-            c1[n_full:] = 1.0
-            status = tab.run(c1, iteration_limit)
-            if status == "iteration_limit":
-                raise RuntimeError("simplex iteration limit exceeded in phase 1")
-            infeasibility = float(np.sum(tab.solution()[n_full:]))
-            if infeasibility > feas_tol * (1.0 + abs(b).max(initial=0.0)):
-                return LpResult(status="infeasible", iterations=tab.iterations)
-        # Pin artificials at zero for phase 2.  Basic artificials may linger
-        # at a sub-tolerance value; snap them to 0.
-        tab.upper[n_full:] = 0.0
-        tab.xB[tab.basis >= n_full] = 0.0
+        tab = _Tableau.from_basis(A_full, b, lower_full, upper_full, slack_basis,
+                                  pivot_tol, degenerate_limit)
+        dual_costs = np.maximum(c_full, 0.0)
+    status = tab.dual_run(dual_costs, feas_tol, iteration_limit)
+    if status == "iteration_limit":
+        raise RuntimeError("simplex iteration limit exceeded in the dual phase")
+    if status == "infeasible":
+        return LpResult(status="infeasible", iterations=tab.iterations)
 
-    status = tab.run(c2, iteration_limit)
+    status = tab.run(c_full, iteration_limit)
     if status == "iteration_limit":
         raise RuntimeError("simplex iteration limit exceeded in phase 2")
     if status == "unbounded":

@@ -2,12 +2,13 @@
 
 The LP relaxations are handled by the bounded-variable simplex in
 ``simplex``; integrality is enforced by best-first branch and bound with
-most-fractional branching.  Each node solves one LP: the root cold, and every
-child, which differs from its parent in one variable bound, by the dual
-simplex from the parent's optimal basis (a pair of small integer arrays kept
-on the heap entry).  Models can be exported to and re-imported from
-the widely used CPLEX LP text format, and externally produced assignments can
-be validated and scored with :func:`import_solution`.
+most-fractional branching.  Each node solves one LP, by the same simplex
+path: the root from the slack basis, and every child, which differs from its
+parent in one variable bound, from the parent's optimal basis (a pair of
+small integer arrays kept on the heap entry).  Models can be exported to and
+re-imported from the widely used CPLEX LP text format, and externally
+produced assignments can be validated and scored with
+:func:`import_solution`.
 """
 
 from __future__ import annotations
@@ -137,7 +138,8 @@ def solve_model(model: MilpModel, config: SolverConfig | None = None,
         counter += 1
 
     # The root is the first node popped; it has no parent basis, so its LP
-    # is solved cold.  Every child re-solves from its parent's optimal basis.
+    # starts from the slack basis.  Every child re-solves from its parent's
+    # optimal basis.
     push(math.inf, 0, lower, upper, None)
 
     hit_limit = False
@@ -383,7 +385,6 @@ def parse_lp(text: str) -> MilpModel:
     for name, terms, relation, rhs in parsed_rows:
         model.add_constraint(make_constraint(name, terms, relation, rhs))
     model.set_objective({v: sense * coeff for coeff, v in obj_terms})
-    model.validate()
     return model
 
 

@@ -4,7 +4,7 @@ from scipy.optimize import linprog
 
 from sliceprov import solver as solver_module
 from sliceprov.milp import MilpModel, MilpVariable, make_constraint
-from sliceprov.simplex import Basis, solve_lp
+from sliceprov.simplex import BASIC, Basis, solve_lp
 from sliceprov.solver import (
     SolverConfig,
     export_lp,
@@ -85,6 +85,38 @@ def test_simplex_unbounded():
         np.zeros(1),
         np.array([INF]),
     )
+    assert res.status == "unbounded"
+
+
+def test_optimal_basis_spans_structurals_and_slacks():
+    # Three structurals and two rows: one status per structural and slack.
+    res = solve_lp(
+        np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 2.0]]),
+        np.array([4.0, 1.0]),
+        ["<=", ">="],
+        np.array([-1.0, -2.0, -3.0]),
+        np.zeros(3),
+        np.array([INF, 2.0, INF]),
+    )
+    assert res.status == "optimal"
+    assert res.basis.basic.shape == (2,)
+    assert res.basis.status.shape == (3 + 2,)
+    assert set(np.flatnonzero(res.basis.status == BASIC)) == set(res.basis.basic)
+
+
+def test_cold_solve_from_an_infeasible_slack_basis():
+    # The slack basis is primal infeasible (x + y >= 2 fails at x = y = 0),
+    # and the negative cost on x points at its infinite upper bound.
+    A = np.array([[1.0, 1.0], [1.0, -1.0]])
+    b = np.array([2.0, 3.0])
+    relations = [">=", "<="]
+    c = np.array([-1.0, 1.0])
+    lower, upper = np.zeros(2), np.array([INF, INF])
+    res = solve_lp(A, b, relations, c, lower, upper)
+    _check_against_reference(res, A, b, relations, c, lower, upper, "bounded")
+    assert res.objective == pytest.approx(-3.0, abs=1e-9)
+    # Without the row that caps x - y, x grows without limit.
+    res = solve_lp(A[:1], b[:1], relations[:1], c, lower, upper)
     assert res.status == "unbounded"
 
 
@@ -190,7 +222,7 @@ def test_warm_start_falls_back_to_cold_on_singular_basis():
     cold = solve_lp(A, b, ["<=", "<="], c, lower, upper)
     # Both structural columns basic: [1, 2] and [2, 4] are collinear.
     singular = Basis(basic=np.array([0, 1]),
-                     status=np.array([2, 2, 0, 0, 0, 0], dtype=np.int8))
+                     status=np.array([2, 2, 0, 0], dtype=np.int8))
     warm = solve_lp(A, b, ["<=", "<="], c, lower, upper, basis=singular)
     assert warm.status == cold.status == "optimal"
     assert warm.objective == pytest.approx(cold.objective, abs=1e-9)

@@ -29,8 +29,8 @@ class MilpVariable:
     def __post_init__(self):
         if self.kind not in ("nonneg_integer", "binary"):
             raise ValueError(f"unknown variable kind {self.kind!r}")
-        if not math.isfinite(self.upper):
-            raise ValueError("variables must have finite upper bounds")
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise ValueError(f"variable {self.name}: bounds must be finite")
         if self.lower > self.upper:
             raise ValueError(f"variable {self.name}: lower > upper")
         if self.kind == "binary" and not (0 <= self.lower and self.upper <= 1):

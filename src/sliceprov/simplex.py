@@ -10,17 +10,24 @@ a bound flip instead of a basis exchange.  Dantzig pricing is used until a
 configurable run of degenerate pivots, after which Bland's rule guarantees
 termination.
 
-Every solve builds its tableau from a basis over ``[A | slacks]`` with one
-factorization and runs the same two phases.  A bounded-variable dual simplex
-first drives the basic values into their bounds: a row that no nonbasic
-column can repair proves the LP infeasible.  A primal phase 2 then reaches
-optimality, or finds a ray along which the LP is unbounded.  Given the
-optimal :class:`Basis` of an LP that differs only in its variable bounds (a
-branch-and-bound parent), the dual phase starts from that basis, which stays
-dual feasible, and phase 2 only removes what round-off left.  Without one
-(or when it is singular) the start is the slack basis with every structural
-at its lower bound, which is dual feasible once the costs are clipped at
-zero; phase 2 then brings back the negative costs.
+Every solve builds its tableau from a basis over ``[A | slacks]`` and runs
+the same two phases.  A bounded-variable dual simplex first drives the basic
+values into their bounds: a row that no nonbasic column can repair proves the
+LP infeasible.  A primal phase 2 then reaches optimality, or finds a ray
+along which the LP is unbounded.  Given the optimal :class:`Basis` of an LP
+that differs only in its variable bounds (a branch-and-bound parent), the
+dual phase starts from that basis, which stays dual feasible, and phase 2
+only removes what round-off left.  Without one (or when it is singular) the
+start is the slack basis with every structural at its lower bound, which is
+dual feasible once the costs are clipped at zero; phase 2 then brings back
+the negative costs.
+
+Each basis is inverted at most once in a row.  The slack basis needs no
+inversion: its matrix is a diagonal of +-1, its own inverse.  The inverse of
+any other basis and its tableau are kept for the next solve, until another
+basis is inverted; a solve from the same basis of the same columns (the
+second child of a branch-and-bound node) starts from a copy of them, which
+holds the numbers a new inversion would give.
 """
 
 from __future__ import annotations
@@ -60,6 +67,53 @@ class LpResult:
     x: np.ndarray | None = None  # structural variables only
     iterations: int = 0
     basis: Basis | None = None  # final basis of an optimal solve
+    factorizations: int = 0  # basis inversions made by this solve (0 or 1)
+
+
+@dataclass(frozen=True)
+class _Factor:
+    """The inverse of the basis matrix ``A[:, basic]`` and the tableau
+    ``inv @ A`` with its basic columns set to the identity.  Never written
+    to: a tableau pivots on a copy."""
+
+    A: np.ndarray  # the columns [A | slacks] it was computed from
+    basic: np.ndarray
+    inv: np.ndarray
+    T: np.ndarray
+
+
+# The factorization of the basis inverted last, or None.  It is replaced
+# whole, so a solve on another thread can only miss it, never see half of it.
+_last_factor = None
+
+
+def _factor(A, basic):
+    """The :class:`_Factor` of ``basic`` over the columns ``A`` (None when the
+    basis matrix is singular or too ill-conditioned), and whether it took a
+    new inversion.  The last one is reused when its ``A`` and ``basic`` equal
+    these.  ``A`` holds the slack signs, so other row relations miss it,
+    except "=" against "<=", which differ only in the slack's bounds."""
+    global _last_factor
+    last = _last_factor
+    if (
+        last is not None
+        and np.array_equal(last.basic, basic)
+        and np.array_equal(last.A, A)
+    ):
+        return last, False
+    try:
+        inv = np.linalg.inv(A[:, basic])
+    except np.linalg.LinAlgError:
+        return None, True
+    T = inv @ A
+    identity = np.eye(len(basic))
+    if not np.all(np.isfinite(T)) or (
+        len(basic) and np.abs(T[:, basic] - identity).max() > _FACTOR_TOL
+    ):
+        return None, True
+    T[:, basic] = identity
+    _last_factor = _Factor(A, basic.copy(), inv, T)
+    return _last_factor, True
 
 
 class _Tableau:
@@ -76,31 +130,28 @@ class _Tableau:
         self.iterations = 0
 
     @classmethod
-    def from_basis(cls, A, b, lower, upper, start, pivot_tol, degenerate_limit):
-        """Tableau of ``start`` over the columns of ``A`` (structurals and
-        slacks) from one factorization of its basis matrix, with basic values
-        recomputed from ``lower``/``upper``.  Returns None when the basis
-        matrix is singular or too ill-conditioned."""
-        m, n = A.shape
-        basic = np.array(start.basic)
-        if basic.shape != (m,) or np.shape(start.status) != (n,):
-            raise ValueError("starting basis does not match the LP dimensions")
-        try:
-            inv = np.linalg.inv(A[:, basic])
-        except np.linalg.LinAlgError:
-            return None
-        T = inv @ A
-        identity = np.eye(m)
-        if not np.all(np.isfinite(T)) or (
-            m and np.abs(T[:, basic] - identity).max() > _FACTOR_TOL
-        ):
-            return None
-        T[:, basic] = identity
-        status = np.array(start.status, dtype=np.int8)
-        status[basic] = BASIC
-        tab = cls(T, basic, status, np.zeros(m), lower, upper, pivot_tol,
+    def from_factor(cls, factor, b, status, lower, upper, pivot_tol, degenerate_limit):
+        """Tableau of the factorized basis with the nonbasic ``status`` of a
+        :class:`Basis`, and basic values recomputed from ``lower``/``upper``."""
+        status = np.array(status, dtype=np.int8)
+        status[factor.basic] = BASIC
+        tab = cls(factor.T.copy(), factor.basic.copy(), status, None, lower, upper,
+                  pivot_tol, degenerate_limit)
+        tab.xB = factor.inv @ (b - factor.A @ tab.nonbasic_values())
+        return tab
+
+    @classmethod
+    def slack(cls, A, b, sign, lower, upper, pivot_tol, degenerate_limit):
+        """Tableau of the slack basis, every structural at its lower bound.
+        The basis matrix is ``diag(sign)``, its own inverse."""
+        m, n_full = A.shape
+        n = n_full - m
+        T = A * sign[:, None]
+        T[:, n:] = np.eye(m)
+        status = np.repeat(np.int8([AT_LOWER, BASIC]), [n, m])
+        tab = cls(T, np.arange(n, n_full), status, None, lower, upper, pivot_tol,
                   degenerate_limit)
-        tab.xB = inv @ (b - A @ tab.nonbasic_values())
+        tab.xB = sign * (b - A @ tab.nonbasic_values())
         return tab
 
     def nonbasic_values(self):
@@ -296,18 +347,25 @@ def solve_lp(
 
     ``relations`` is a sequence of "<=", "=", ">=" per row.  Rows are
     normalized to equalities by adding slack columns with the appropriate
-    bounds.  ``basis`` may give the :class:`Basis` of an optimal solve of the
-    same rows and objective under other bounds; the LP is then re-solved by
-    the dual simplex from that basis.  Without one, or when it is singular,
-    the solve starts from the slack basis with every structural at its lower
-    bound.  An optimal result carries its final basis.
+    bounds.  Lower bounds must be finite.  ``basis`` may give the
+    :class:`Basis` of an optimal solve of the same rows and objective under
+    other bounds; the LP is then re-solved by the dual simplex from that
+    basis.  Without one, or when it is singular, the solve starts from the
+    slack basis with every structural at its lower bound.  An optimal result
+    carries its final basis.
     """
     A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
+    if A.ndim != 2:
+        raise ValueError(f"A must be a matrix, not of shape {A.shape}")
     m, n = A.shape
+    if len(relations) != m:
+        raise ValueError(f"{len(relations)} relations for {m} rows")
+    b = _vector("b", b, m)
+    c = _vector("c", c, n)
+    lower = _vector("lower", lower, n)
+    upper = _vector("upper", upper, n)
+    if not np.all(np.isfinite(lower)):
+        raise ValueError("lower bounds must be finite")
     slack_sign = np.ones(m)
     slack_upper = np.full(m, _INF)
     for i, rel in enumerate(relations):
@@ -326,31 +384,36 @@ def solve_lp(
     c_full = np.concatenate([c, np.zeros(m)])
 
     tab = None
+    factorizations = 0
     dual_costs = c_full
     if basis is not None:
-        tab = _Tableau.from_basis(A_full, b, lower_full, upper_full, basis,
-                                  pivot_tol, degenerate_limit)
+        basic = np.array(basis.basic)
+        if basic.shape != (m,) or np.shape(basis.status) != (n_full,):
+            raise ValueError("starting basis does not match the LP dimensions")
+        factor, fresh = _factor(A_full, basic)
+        factorizations = int(fresh)
+        if factor is not None:
+            tab = _Tableau.from_factor(factor, b, basis.status, lower_full, upper_full,
+                                       pivot_tol, degenerate_limit)
     if tab is None:
         # Every structural at its lower bound: dual feasible for the costs
         # clipped at zero.
-        slack_basis = Basis(
-            basic=np.arange(n, n_full),
-            status=np.repeat(np.int8([AT_LOWER, BASIC]), [n, m]),
-        )
-        tab = _Tableau.from_basis(A_full, b, lower_full, upper_full, slack_basis,
-                                  pivot_tol, degenerate_limit)
+        tab = _Tableau.slack(A_full, b, slack_sign, lower_full, upper_full,
+                             pivot_tol, degenerate_limit)
         dual_costs = np.maximum(c_full, 0.0)
     status = tab.dual_run(dual_costs, feas_tol, iteration_limit)
     if status == "iteration_limit":
         raise RuntimeError("simplex iteration limit exceeded in the dual phase")
     if status == "infeasible":
-        return LpResult(status="infeasible", iterations=tab.iterations)
+        return LpResult(status="infeasible", iterations=tab.iterations,
+                        factorizations=factorizations)
 
     status = tab.run(c_full, iteration_limit)
     if status == "iteration_limit":
         raise RuntimeError("simplex iteration limit exceeded in phase 2")
     if status == "unbounded":
-        return LpResult(status="unbounded", iterations=tab.iterations)
+        return LpResult(status="unbounded", iterations=tab.iterations,
+                        factorizations=factorizations)
     x = tab.solution()
     return LpResult(
         status="optimal",
@@ -358,4 +421,12 @@ def solve_lp(
         x=x[:n].copy(),
         iterations=tab.iterations,
         basis=Basis(basic=tab.basis.copy(), status=tab.status.copy()),
+        factorizations=factorizations,
     )
+
+
+def _vector(name, value, size):
+    vector = np.asarray(value, dtype=float)
+    if vector.shape != (size,):
+        raise ValueError(f"{name} has shape {vector.shape}, expected ({size},)")
+    return vector

@@ -5,9 +5,12 @@ The LP relaxations are handled by the bounded-variable simplex in
 most-fractional branching.  Each node solves one LP, by the same simplex
 path: the root from the slack basis, and every child, which differs from its
 parent in one variable bound, from the parent's optimal basis (a pair of
-small integer arrays kept on the heap entry).  Models can be exported to and
-re-imported from the widely used CPLEX LP text format, and externally
-produced assignments can be validated and scored with
+small integer arrays kept on the heap entry).  The two children of a node
+share that basis, so when the second is solved while the simplex still holds
+its sibling's factorization, it inverts nothing.  :class:`SolveResult`
+reports the LPs, simplex iterations and basis inversions of a solve.  Models
+can be exported to and re-imported from the widely used CPLEX LP text
+format, and externally produced assignments can be validated and scored with
 :func:`import_solution`.
 """
 
@@ -42,6 +45,9 @@ class SolveResult:
     gap: float = float("inf")
     node_count: int = 0
     wall_time: float = 0.0
+    lp_solves: int = 0
+    iterations: int = 0  # simplex iterations over all LPs
+    factorizations: int = 0  # basis inversions over all LPs
 
 
 def _to_arrays(model: MilpModel):
@@ -129,6 +135,7 @@ def solve_model(model: MilpModel, config: SolverConfig | None = None,
 
     counter = 0
     node_count = 0
+    iterations = factorizations = 0
     best_bound = math.inf
     heap = []
 
@@ -155,6 +162,8 @@ def solve_model(model: MilpModel, config: SolverConfig | None = None,
             continue
         res = solve_lp(A, b, relations, c_min, lo, hi, basis=parent_basis)
         node_count += 1
+        iterations += res.iterations
+        factorizations += res.factorizations
         if res.status != "optimal":
             continue
         bound = -res.objective
@@ -205,9 +214,12 @@ def solve_model(model: MilpModel, config: SolverConfig | None = None,
         best_bound = incumbent_obj
 
     wall = time.monotonic() - start
+    # Every node solved exactly one LP.
+    counts = dict(node_count=node_count, wall_time=wall, lp_solves=node_count,
+                  iterations=iterations, factorizations=factorizations)
     if incumbent is None:
         status = "timeout" if hit_limit else "infeasible"
-        return SolveResult(status=status, node_count=node_count, wall_time=wall)
+        return SolveResult(status=status, **counts)
     gap = max(0.0, best_bound - incumbent_obj) / max(1.0, abs(incumbent_obj))
     if not heap and not hit_limit:
         status = "optimal"
@@ -224,8 +236,7 @@ def solve_model(model: MilpModel, config: SolverConfig | None = None,
         objective=float(incumbent_obj),
         assignment=assignment,
         gap=gap,
-        node_count=node_count,
-        wall_time=wall,
+        **counts,
     )
 
 

@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from sliceprov import demand, evaluation, planner
+from sliceprov import simplex as simplex_module
 from sliceprov import solver as solver_module
 from sliceprov.milp import MilpModel, MilpVariable, make_constraint
 from sliceprov.simplex import BASIC, Basis, solve_lp
@@ -231,6 +235,124 @@ def test_warm_start_falls_back_to_cold_on_singular_basis():
                  basis=Basis(basic=np.array([0]), status=singular.status))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("relations", ["<="]), ("b", [5.0]), ("c", [1.0, 1.0, 1.0]), ("lower", [0.0]),
+     ("upper", [[10.0, 10.0]])],
+)
+def test_solve_lp_rejects_inputs_that_do_not_match_the_matrix(field, value):
+    lp = dict(A=[[1.0, 0.0], [1.0, 1.0]], b=[5.0, 2.0], relations=["<=", ">="],
+              c=[1.0, 1.0], lower=[0.0, 0.0], upper=[10.0, 10.0])
+    assert solve_lp(**lp).objective == pytest.approx(2.0)
+    with pytest.raises(ValueError):
+        solve_lp(**{**lp, field: value})
+    with pytest.raises(ValueError):
+        solve_lp(**{**lp, "A": [1.0, 0.0]})
+
+
+@pytest.mark.parametrize("bound", [-INF, np.nan])
+def test_non_finite_lower_bounds_are_rejected(bound):
+    # At an infinite lower bound the simplex would start the variable at 0
+    # and report min x s.t. x >= -5 as 0.
+    with pytest.raises(ValueError):
+        solve_lp([[1.0]], [-5.0], [">="], [1.0], [bound], [INF])
+    with pytest.raises(ValueError):
+        MilpVariable("x", "nonneg_integer", bound, 3.0)
+    with pytest.raises(ValueError):
+        MilpVariable("x", "nonneg_integer", 0.0, -bound)
+
+
+@pytest.fixture
+def count_inversions(monkeypatch):
+    calls = []
+    inv = np.linalg.inv
+
+    def counting_inv(matrix):
+        calls.append(matrix.shape)
+        return inv(matrix)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    return calls
+
+
+def test_slack_start_inverts_nothing(count_inversions):
+    A = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 2.0], [0.0, 1.0, 1.0]])
+    b = np.array([4.0, 1.0, 3.0])
+    relations = ["<=", ">=", "="]
+    c = np.array([-1.0, -2.0, -3.0])
+    lower, upper = np.zeros(3), np.array([INF, 2.0, INF])
+    res = solve_lp(A, b, relations, c, lower, upper)
+    _check_against_reference(res, A, b, relations, c, lower, upper, "slack start")
+    assert count_inversions == [] and res.factorizations == 0
+    # A singular warm basis is inverted once, then the slack start takes over.
+    singular = Basis(basic=np.array([0, 0, 1]), status=res.basis.status)
+    warm = solve_lp(A, b, relations, c, lower, upper, basis=singular)
+    assert len(count_inversions) == warm.factorizations == 1
+    assert warm.objective == pytest.approx(res.objective, abs=1e-9)
+
+
+def test_siblings_share_one_inversion(count_inversions):
+    A, b, relations, c, lower, upper = _mixed_lp()
+    parent = solve_lp(A, b, relations, c, lower, upper)
+    assert parent.factorizations == 0
+    simplex_module._last_factor = None
+    children = [(lower, np.array([2.0, INF, INF])), (np.array([3.0, 0.0, 0.0]), upper)]
+    results = [solve_lp(A, b, relations, c, lo, hi, basis=parent.basis) for lo, hi in children]
+    assert [r.factorizations for r in results] == [1, 0]
+    assert len(count_inversions) == 1
+    for (lo, hi), res in zip(children, results):
+        simplex_module._last_factor = None
+        fresh = solve_lp(A, b, relations, c, lo, hi, basis=parent.basis)
+        assert fresh.factorizations == 1
+        _assert_same_lp_result(res, fresh)
+
+
+def _mixed_lp():
+    A = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 2.0], [2.0, 1.0, -1.0]])
+    b = np.array([8.0, 1.0, 6.0])
+    relations = ["<=", ">=", "<="]
+    c = np.array([-2.0, -1.0, -3.0])
+    return A, b, relations, c, np.zeros(3), np.full(3, INF)
+
+
+def _assert_same_lp_result(ours, reference):
+    assert ours.status == reference.status
+    assert ours.iterations == reference.iterations
+    assert ours.objective == reference.objective or (
+        np.isnan(ours.objective) and np.isnan(reference.objective))
+    if reference.x is None:
+        assert ours.x is None
+        return
+    assert np.array_equal(ours.x, reference.x)
+    assert np.array_equal(ours.basis.basic, reference.basis.basic)
+    assert np.array_equal(ours.basis.status, reference.basis.status)
+
+
+@pytest.mark.parametrize("change", ["matrix", "relations"])
+def test_a_basis_reused_on_another_lp_is_factorized_again(change):
+    # One Basis object on two LPs of the same shape: the second solve must
+    # not start from the first one's factorization.
+    A, b, relations, c, lower, upper = _mixed_lp()
+    basis = solve_lp(A, b, relations, c, lower, upper).basis
+    assert sorted(basis.basic) != [3, 4, 5]  # not the slack basis
+    other_A, other_relations = A.copy(), list(relations)
+    if change == "matrix":
+        other_A[0, basis.basic[basis.basic < 3][0]] = 3.0
+    else:
+        other_relations[2] = ">="
+    lp = (A, b, relations, c, lower, upper)
+    other = (other_A, b, other_relations, c, lower, upper)
+    for first, second in ((lp, other), (other, lp)):
+        simplex_module._last_factor = None
+        solve_lp(*first, basis=basis)
+        res = solve_lp(*second, basis=basis)
+        assert res.factorizations == 1
+        simplex_module._last_factor = None
+        fresh = solve_lp(*second, basis=Basis(basic=basis.basic.copy(),
+                                              status=basis.status.copy()))
+        _assert_same_lp_result(res, fresh)
+
+
 # ---------------------------------------------------------------------------
 # Branch and bound
 # ---------------------------------------------------------------------------
@@ -314,6 +436,61 @@ def test_bnb_solves_each_node_lp_once(monkeypatch, make_model):
     res = solve_model(make_model(), SolverConfig(node_limit=1))
     assert len(calls) == res.node_count == 1
     assert res.assignment
+
+
+def _provisioning_model(slices, variant):
+    """The MILP of one catalog request on the default graph."""
+    catalog = {spec.id: spec for spec in demand.slice_catalog()}
+    specs = [
+        dataclasses.replace(catalog[type_name], id=f"s{i}",
+                            user_count=demand.UserCountPmf.deterministic(users))
+        for i, (type_name, users) in enumerate(slices)
+    ]
+    graph = evaluation.GraphConfig().build()
+    background = demand.BackgroundModel.from_graph(
+        graph, mean_frac=evaluation.DEFAULT_BACKGROUND_MEAN_FRAC,
+        std_frac=evaluation.DEFAULT_BACKGROUND_STD_FRAC,
+    )
+    return planner.joint_model(specs, graph, planner.variant_from_name(variant), background)
+
+
+@pytest.mark.parametrize(
+    "slices, variant",
+    [((("type1", 30),), "SP-B"), ((("type1", 50), ("type2", 200)), "JP")],
+    ids=["SP-B", "JP"],
+)
+def test_reused_factorizations_give_the_same_search(monkeypatch, slices, variant):
+    model = _provisioning_model(slices, variant)
+
+    def solve(reuse):
+        lps = []
+
+        def recording_solve_lp(*args, **kwargs):
+            if not reuse:
+                monkeypatch.setattr(simplex_module, "_last_factor", None)
+            res = solve_lp(*args, **kwargs)
+            lps.append((res.iterations, res.factorizations, kwargs.get("basis") is None))
+            return res
+
+        monkeypatch.setattr(solver_module, "solve_lp", recording_solve_lp)
+        simplex_module._last_factor = None
+        return solve_model(model), lps
+
+    shared, shared_lps = solve(reuse=True)
+    alone, alone_lps = solve(reuse=False)
+    assert shared.status == alone.status == "optimal"
+    assert shared.objective == alone.objective
+    assert shared.assignment == alone.assignment
+    assert shared.node_count == alone.node_count
+    assert [it for it, _, _ in shared_lps] == [it for it, _, _ in alone_lps]
+    for res, lps in ((shared, shared_lps), (alone, alone_lps)):
+        assert res.lp_solves == len(lps) == res.node_count
+        assert res.iterations == sum(it for it, _, _ in lps)
+        assert res.factorizations == sum(f for _, f, _ in lps)
+    # Without reuse every warm LP inverts its basis; the root inverts none.
+    assert [f for _, f, _ in alone_lps] == [int(not cold) for _, _, cold in alone_lps]
+    assert alone_lps[0][1:] == (0, True)
+    assert shared.factorizations < alone.factorizations
 
 
 def test_bnb_node_limit_reports_gap():

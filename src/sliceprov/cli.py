@@ -45,6 +45,20 @@ def _load_scenario(token: str) -> evaluation.Scenario:
         )
 
 
+def _config_error(exc):
+    click.echo(f"error: {exc}", err=True)
+    sys.exit(EXIT_CONFIG)
+
+
+def _scenario(token, variant=(), seed=None, max_impact=None, trials=None):
+    """The scenario with the command-line overrides applied; an invalid one
+    exits with EXIT_CONFIG."""
+    try:
+        return _apply_overrides(_load_scenario(token), variant, seed, max_impact, trials)
+    except ValueError as exc:  # ConfigError included
+        _config_error(exc)
+
+
 def _apply_overrides(scenario, variant, seed, max_impact, trials):
     if variant:
         scenario = dataclasses.replace(scenario, variants=tuple(variant))
@@ -95,13 +109,7 @@ def main():
 def provision(scenario_token, variant, seed, out_dir, max_impact, ordering,
               stat_mode, trials, time_limit, include_timing):
     """Provision a scenario and write report.csv / slices.csv / plan.csv."""
-    try:
-        scenario = _apply_overrides(
-            _load_scenario(scenario_token), variant, seed, max_impact, trials
-        )
-    except config_mod.ConfigError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    scenario = _scenario(scenario_token, variant, seed, max_impact, trials)
     for name in scenario.variants:
         _variant_config(scenario, name)  # an unknown variant fails before any solve
     out = pathlib.Path(out_dir)
@@ -153,12 +161,14 @@ def calibrate(slice_type, required_psp, samples, curve_points):
     """Calibrate the demand margin for a slice type and print the PSP curve."""
     catalog = {s.id: s for s in slice_catalog()}
     if slice_type not in catalog:
-        click.echo(f"error: unknown slice type {slice_type!r}", err=True)
-        sys.exit(EXIT_CONFIG)
+        _config_error(f"unknown slice type {slice_type!r}")
     spec = catalog[slice_type]
-    if required_psp is not None:
-        spec = dataclasses.replace(spec, required_psp=required_psp)
-    cfg = QmcConfig(samples=samples)
+    try:
+        if required_psp is not None:
+            spec = dataclasses.replace(spec, required_psp=required_psp)
+        cfg = QmcConfig(samples=samples)
+    except ValueError as exc:
+        _config_error(exc)
     gamma = find_gamma_s(spec, cfg)
     click.echo(f"margin for {spec.id} at required PSP {spec.required_psp}: "
                f"gamma = {gamma:.6f}")
@@ -178,11 +188,7 @@ def calibrate(slice_type, required_psp, samples, curve_points):
 def export_lp_cmd(scenario_token, variant, out_dir, seed):
     """Write the provisioning MILP(s) in LP format: one file for joint
     variants, one file per sequential step."""
-    try:
-        scenario = _apply_overrides(_load_scenario(scenario_token), (), seed, None, None)
-    except config_mod.ConfigError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    scenario = _scenario(scenario_token, seed=seed)
     variant_cfg = _variant_config(scenario, variant)
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -212,11 +218,7 @@ def export_lp_cmd(scenario_token, variant, out_dir, seed):
 @click.option("--seed", type=int, default=None)
 def verify(scenario_token, variant, trials, seed):
     """Provision, then check the plan empirically against fresh randomness."""
-    try:
-        scenario = _apply_overrides(_load_scenario(scenario_token), (), seed, None, None)
-    except config_mod.ConfigError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    scenario = _scenario(scenario_token, seed=seed)
     variant_cfg = _variant_config(scenario, variant)
     graph = scenario.build_graph()
     background = scenario.build_background(graph)

@@ -41,8 +41,6 @@ Schema (all keys optional unless noted):
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import yaml
 
@@ -53,7 +51,6 @@ from .demand import (
     UserDemandModel,
     VLink,
     Vnf,
-    slice_catalog,
 )
 from .evaluation import GraphConfig, Scenario
 from .topology import ResourceVector
@@ -102,7 +99,7 @@ def slice_spec_from_dict(name: str, data: dict) -> SliceSpec:
             income=float(data["income"]),
             required_psp=float(data["required_psp"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"slice type {name!r}: {exc}") from exc
 
 
@@ -152,58 +149,51 @@ def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ConfigError("scenario config must be a mapping")
     try:
-        name = data["name"]
-        mix = tuple(
-            (entry["type"], int(entry.get("count", 1)),
-             float(entry["required_psp"]) if "required_psp" in entry else None)
-            for entry in data["mix"]
+        graph_data = data.get("graph", {})
+        capacities = {
+            layer: _resource_vector(values)
+            for layer, values in graph_data.get(
+                "capacities", {k: list(v.as_tuple()) for k, v in
+                               dict(GraphConfig().capacities).items()}
+            ).items()
+        }
+        bandwidths = {
+            tier: float(v)
+            for tier, v in graph_data.get(
+                "bandwidths", dict(GraphConfig().bandwidths)
+            ).items()
+        }
+        background = data.get("background", {})
+        scenario = Scenario(
+            name=data["name"],
+            mix=tuple(
+                (entry["type"], int(entry.get("count", 1)),
+                 float(entry["required_psp"]) if "required_psp" in entry else None)
+                for entry in data["mix"]
+            ),
+            variants=tuple(data.get("variants", ("SP", "SP-B"))),
+            graph=GraphConfig(
+                k=int(graph_data.get("k", 2)),
+                capacities=tuple(sorted(capacities.items())),
+                bandwidths=tuple(sorted(bandwidths.items())),
+            ),
+            background_mean_frac=float(background.get("mean_frac", 0.2)),
+            background_std_frac=float(background.get("std_frac", 0.05)),
+            max_impact=float(data.get("max_impact", 0.1)),
+            correlation=float(data.get("correlation", 0.0)),
+            seed=int(data.get("seed", 0)),
+            repetitions=int(data.get("repetitions", 1)),
+            verify_trials=int(data.get("verify_trials", 0)),
+            extra_types=tuple(sorted(
+                (type_name, slice_spec_from_dict(type_name, spec_data))
+                for type_name, spec_data in data.get("slice_types", {}).items()
+            )),
         )
-    except (KeyError, TypeError) as exc:
+        # Builds every slice of the mix: unknown types and out-of-range
+        # overrides fail here rather than in the middle of a run.
+        scenario.build_slices()
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"scenario config: {exc}") from exc
-    graph_data = data.get("graph", {})
-    capacities = {
-        layer: _resource_vector(values)
-        for layer, values in graph_data.get(
-            "capacities", {k: list(v.as_tuple()) for k, v in
-                           dict(GraphConfig().capacities).items()}
-        ).items()
-    }
-    bandwidths = {
-        tier: float(v)
-        for tier, v in graph_data.get(
-            "bandwidths", dict(GraphConfig().bandwidths)
-        ).items()
-    }
-    background = data.get("background", {})
-    scenario = Scenario(
-        name=name,
-        mix=mix,
-        variants=tuple(data.get("variants", ("SP", "SP-B"))),
-        graph=GraphConfig(
-            k=int(graph_data.get("k", 2)),
-            capacities=tuple(sorted(capacities.items())),
-            bandwidths=tuple(sorted(bandwidths.items())),
-        ),
-        background_mean_frac=float(background.get("mean_frac", 0.2)),
-        background_std_frac=float(background.get("std_frac", 0.05)),
-        max_impact=float(data.get("max_impact", 0.1)),
-        correlation=float(data.get("correlation", 0.0)),
-        seed=int(data.get("seed", 0)),
-        repetitions=int(data.get("repetitions", 1)),
-        verify_trials=int(data.get("verify_trials", 0)),
-    )
-    extra_types = {
-        type_name: slice_spec_from_dict(type_name, spec_data)
-        for type_name, spec_data in data.get("slice_types", {}).items()
-    }
-    if extra_types:
-        scenario = dataclasses.replace(
-            scenario, extra_types=tuple(sorted(extra_types.items()))
-        )
-    known = {s.id for s in slice_catalog()} | set(extra_types)
-    for type_name, _, _ in scenario.mix:
-        if type_name not in known:
-            raise ConfigError(f"mix references unknown slice type {type_name!r}")
     return scenario
 
 

@@ -81,6 +81,10 @@ class Scenario:
     def __post_init__(self):
         if not self.variants:
             raise ValueError("scenario needs at least one variant")
+        if not 0.0 < self.max_impact < 1.0:
+            raise ValueError("max_impact must lie strictly in (0, 1)")
+        if self.repetitions < 1 or self.verify_trials < 0:
+            raise ValueError("repetitions must be >= 1 and verify_trials >= 0")
         for _, count, _ in self.mix:
             if count < 0:
                 raise ValueError("slice counts must be nonnegative")

@@ -1,7 +1,9 @@
 """MILP model construction for joint and slice-by-slice provisioning.
 
 Models are neutral variable/constraint/objective structures; the solver module
-executes them.  Flow-conservation coefficients are kept as exact rationals.
+executes them.  Coefficients are kept as they are given: floats and ints,
+except the flow-conservation rows, whose coefficients are exact rationals
+(``Fraction``) so that a plan's flows can be re-checked exactly.
 """
 
 from __future__ import annotations
@@ -40,9 +42,9 @@ class MilpVariable:
 @dataclass(frozen=True)
 class LinearConstraint:
     name: str
-    terms: tuple  # ((Fraction coefficient, variable name), ...)
+    terms: tuple  # ((coefficient, variable name), ...)
     relation: str  # "<=", "=", ">="
-    rhs: Fraction
+    rhs: float
 
     def __post_init__(self):
         if self.relation not in ("<=", "=", ">="):
@@ -51,17 +53,8 @@ class LinearConstraint:
             raise ValueError(f"constraint {self.name}: needs at least one term")
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def make_constraint(name, terms, relation, rhs) -> LinearConstraint:
-    return LinearConstraint(
-        name=name,
-        terms=tuple((_frac(c), v) for c, v in terms),
-        relation=relation,
-        rhs=_frac(rhs),
-    )
+    return LinearConstraint(name=name, terms=tuple(terms), relation=relation, rhs=rhs)
 
 
 @dataclass
@@ -227,12 +220,12 @@ def flow_constraints(spec: SliceSpec, graph: InfrastructureGraph) -> list:
     out_sum = {}
     in_sum = {}
     for vlink in spec.sfc.vlinks:
-        out_sum[vlink.src] = out_sum.get(vlink.src, Fraction(0)) + _frac(vlink.bandwidth)
-        in_sum[vlink.dst] = in_sum.get(vlink.dst, Fraction(0)) + _frac(vlink.bandwidth)
+        out_sum[vlink.src] = out_sum.get(vlink.src, Fraction(0)) + Fraction(vlink.bandwidth)
+        in_sum[vlink.dst] = in_sum.get(vlink.dst, Fraction(0)) + Fraction(vlink.bandwidth)
     rows = []
     for vlink in spec.sfc.vlinks:
         v, w = vlink.src, vlink.dst
-        r_b = _frac(vlink.bandwidth)
+        r_b = Fraction(vlink.bandwidth)
         ratio_out = r_b / out_sum[v] if out_sum.get(v) else None
         ratio_in = r_b / in_sum[w] if in_sum.get(w) else None
         for node_id in graph.nodes:
@@ -274,12 +267,10 @@ def fixed_cost_rows(spec: SliceSpec, graph, node_bounds) -> list:
         big_m = sum(node_bounds[(node_id, v.name)] for v in spec.sfc.vnfs)
         if big_m == 0:
             continue
-        terms = [(Fraction(1), node_var(spec.id, node_id, v.name)) for v in spec.sfc.vnfs]
-        terms.append((Fraction(-big_m), used_var(spec.id, node_id)))
+        terms = [(1, node_var(spec.id, node_id, v.name)) for v in spec.sfc.vnfs]
+        terms.append((-big_m, used_var(spec.id, node_id)))
         rows.append(
-            make_constraint(
-                f"use_{sanitize(spec.id)}_{sanitize(node_id)}", terms, "<=", Fraction(0)
-            )
+            make_constraint(f"use_{sanitize(spec.id)}_{sanitize(node_id)}", terms, "<=", 0)
         )
         for vnf in spec.sfc.vnfs:
             bound = node_bounds[(node_id, vnf.name)]
@@ -288,12 +279,10 @@ def fixed_cost_rows(spec: SliceSpec, graph, node_bounds) -> list:
             rows.append(
                 make_constraint(
                     f"use_{sanitize(spec.id)}_{sanitize(node_id)}_{sanitize(vnf.name)}",
-                    [
-                        (Fraction(1), node_var(spec.id, node_id, vnf.name)),
-                        (Fraction(-bound), used_var(spec.id, node_id)),
-                    ],
+                    [(1, node_var(spec.id, node_id, vnf.name)),
+                     (-bound, used_var(spec.id, node_id))],
                     "<=",
-                    Fraction(0),
+                    0,
                 )
             )
     return rows
@@ -356,8 +345,8 @@ def _add_demand_rows(model, spec, graph, box, need_by_vnf, need_by_vlink):
         # rounded-up requirement whenever the slice is accepted.
         need = need_by_vnf[vnf.name]
         if need > 0:
-            terms = [(Fraction(1), node_var(spec.id, i, vnf.name)) for i in graph.nodes]
-            terms.append((Fraction(-need), d_name))
+            terms = [(1, node_var(spec.id, i, vnf.name)) for i in graph.nodes]
+            terms.append((-need, d_name))
             model.add_constraint(
                 make_constraint(
                     f"demcount_{sanitize(spec.id)}_{sanitize(vnf.name)}", terms, ">=", 0
@@ -385,10 +374,10 @@ def _add_demand_rows(model, spec, graph, box, need_by_vnf, need_by_vlink):
         need = need_by_vlink[(vlink.src, vlink.dst)]
         if need > 0:
             terms = [
-                (Fraction(1), link_var(spec.id, key[0], key[1], vlink.src, vlink.dst))
+                (1, link_var(spec.id, key[0], key[1], vlink.src, vlink.dst))
                 for key in graph.links
             ]
-            terms.append((Fraction(-need), d_name))
+            terms.append((-need, d_name))
             model.add_constraint(
                 make_constraint(
                     f"demcount_{sanitize(spec.id)}_{sanitize(vlink.src)}__{sanitize(vlink.dst)}",

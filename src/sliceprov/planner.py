@@ -129,16 +129,6 @@ class SlicePlan:
                 upper.append(per_vlink.get(vlink_key, 0) * sfc.vlink(vlink_key).bandwidth)
         return DemandBox(upper=np.array(upper, dtype=float))
 
-    def placement_cost(self, graph: InfrastructureGraph) -> float:
-        """Provisioning cost of the placement: fixed costs of the used nodes
-        plus unit costs of the node and link amounts."""
-        cost = sum(graph.nodes[i].fixed_cost for i in self.used_nodes)
-        for (node_id, rtype), amount in self.node_amounts().items():
-            cost += amount * graph.nodes[node_id].unit_cost.get(rtype)
-        for key, amount in self.link_amounts().items():
-            cost += amount * graph.links[key].unit_cost
-        return cost
-
 
 @dataclass
 class ProvisioningPlan:
@@ -199,7 +189,8 @@ def order_slices(slices, ordering: str):
 
 
 def _extract(model, assignment, plans, graph):
-    """Fill SlicePlan placements from a solved assignment via model metadata."""
+    """Fill SlicePlan placements from a solved assignment via model metadata,
+    and price each plan with the cost terms of the MILP objective."""
     for name, value in assignment.items():
         if not value:
             continue
@@ -218,12 +209,15 @@ def _extract(model, assignment, plans, graph):
             plans[sid].used_nodes.add(node_id)
         elif kind == "accept":
             plans[meta[1]].accepted = True
-    for plan in plans.values():
+    for sid, plan in plans.items():
         if not plan.accepted:
             plan.node_counts.clear()
             plan.link_counts.clear()
             plan.used_nodes.clear()
-        plan.cost = plan.placement_cost(graph)
+        counts = _assignment_from_plans({sid: plan})
+        plan.cost = sum(
+            cost * counts.get(var, 0) for cost, var in milp.slice_cost_terms(plan.spec, graph)
+        )
 
 
 def _reserves(variant: VariantConfig, background: BackgroundModel | None):

@@ -27,6 +27,8 @@ _DET_VAR_TOL = 1e-14
 _DET_SLACK = 1e-12
 _PMF_CUTOFF = 1e-12
 _U_CLIP = (1e-300, 1.0 - 1e-16)
+# Absolute accuracy of a calibrated margin.
+_GAMMA_TOLERANCE = 1e-3
 
 
 class CalibrationError(RuntimeError):
@@ -267,8 +269,45 @@ def _genz_estimates(shifts: np.ndarray, scales: np.ndarray, chol: np.ndarray,
     return [row for group_means in means for row in group_means]
 
 
+def _mixture_box_probability(mu, cov, probs, upper, cfg: QmcConfig):
+    """sum_k probs[k] Pr{Normal(k mu, k^2 cov) <= upper}, the k = 0 term
+    counting as probs[0]; returns (estimate, error_estimate)."""
+    if upper.size != mu.size or cov.shape != (mu.size, mu.size):
+        raise ValueError("dimension mismatch between mean, covariance, and box")
+    ks = np.flatnonzero(probs > _PMF_CUTOFF)
+    est = probs[0] if 0 in ks else 0.0
+    ks = ks[ks >= 1]
+    if ks.size == 0:
+        return float(est), 0.0
+
+    det_idx, sto_idx = _split_deterministic(cov)
+    # Deterministic components: the k-user demand is exactly k * mu there.
+    if det_idx.size:
+        ok = np.all(
+            ks[:, None] * mu[det_idx][None, :] <= upper[det_idx][None, :] + _DET_SLACK,
+            axis=1,
+        )
+        ks = ks[ok]
+        if ks.size == 0:
+            return float(est), 0.0
+
+    weights = probs[ks]
+    scales = ks.astype(float)
+    shifts = ks[:, None] * mu[sto_idx][None, :]
+    if sto_idx.size == 0:
+        return float(est + weights.sum()), 0.0
+    chol = _cholesky_psd(cov[np.ix_(sto_idx, sto_idx)])
+    terms = _genz_estimates(shifts, scales, chol, upper[sto_idx], cfg)
+    if len(terms) == 1:
+        return float(est + weights @ terms[0]), 0.0
+    per_rand = np.array([weights @ t for t in terms])
+    err = float(np.std(per_rand, ddof=1) / np.sqrt(cfg.randomizations))
+    return float(est + np.mean(per_rand)), err
+
+
 def mvn_box_probability(mean, cov, box: DemandBox, cfg: QmcConfig):
-    """Estimate Pr{X <= box.upper} for X ~ Normal(mean, cov).
+    """Estimate Pr{X <= box.upper} for X ~ Normal(mean, cov): the mixture of
+    :func:`psp_of_box` with exactly one user.
 
     Independent components (a diagonal covariance over the stochastic ones)
     give the exact product of normal CDFs, with error 0.0.  Otherwise uses
@@ -278,24 +317,7 @@ def mvn_box_probability(mean, cov, box: DemandBox, cfg: QmcConfig):
     """
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
-    upper = box.upper
-    if mean.size != upper.size or cov.shape != (mean.size, mean.size):
-        raise ValueError("dimension mismatch between mean, covariance, and box")
-    det_idx, sto_idx = _split_deterministic(cov)
-    if np.any(mean[det_idx] > upper[det_idx] + _DET_SLACK):
-        return 0.0, 0.0
-    if sto_idx.size == 0:
-        return 1.0, 0.0
-    sub_cov = cov[np.ix_(sto_idx, sto_idx)]
-    chol = _cholesky_psd(sub_cov)
-    shifts = mean[sto_idx][None, :]
-    scales = np.ones(1)
-    terms = _genz_estimates(shifts, scales, chol, upper[sto_idx], cfg)
-    if len(terms) == 1:
-        return float(terms[0][0]), 0.0
-    estimates = np.array([float(t[0]) for t in terms])
-    err = float(np.std(estimates, ddof=1) / np.sqrt(cfg.randomizations))
-    return float(np.mean(estimates)), err
+    return _mixture_box_probability(mean, cov, np.array([0.0, 1.0]), box.upper, cfg)
 
 
 def targets_for_gamma(spec: SliceSpec, gamma: float, stat_mode: str = "per_user") -> DemandBox:
@@ -328,51 +350,15 @@ def psp_of_box(spec: SliceSpec, box: DemandBox, cfg: QmcConfig):
     estimated by randomized QMC and the error is the standard error over
     randomizations.  Returns (estimate, error_estimate).
     """
-    upper = box.upper
-    mu = spec.user_model.mean
-    cov = spec.user_model.covariance
-    if upper.size != mu.size:
-        raise ValueError("box dimension does not match the slice demand model")
-    probs = spec.user_count.probs
-    ks = np.flatnonzero(probs > _PMF_CUTOFF)
-    est = probs[0] if 0 in ks else 0.0
-    ks = ks[ks >= 1]
-    if ks.size == 0:
-        return float(est), 0.0
-
-    det_idx, sto_idx = _split_deterministic(cov)
-    # Deterministic components: the k-user demand is exactly k * mu there.
-    if det_idx.size:
-        ok = np.all(
-            ks[:, None] * mu[det_idx][None, :] <= upper[det_idx][None, :] + _DET_SLACK,
-            axis=1,
-        )
-        ks = ks[ok]
-        if ks.size == 0:
-            return float(est), 0.0
-
-    weights = probs[ks]
-    scales = ks.astype(float)
-    shifts = ks[:, None] * mu[sto_idx][None, :]
-    if sto_idx.size == 0:
-        return float(est + weights.sum()), 0.0
-    chol = _cholesky_psd(cov[np.ix_(sto_idx, sto_idx)])
-    terms = _genz_estimates(shifts, scales, chol, upper[sto_idx], cfg)
-    if len(terms) == 1:
-        return float(est + weights @ terms[0]), 0.0
-    per_rand = np.array([weights @ t for t in terms])
-    err = float(np.std(per_rand, ddof=1) / np.sqrt(cfg.randomizations))
-    return float(est + np.mean(per_rand)), err
+    model = spec.user_model
+    return _mixture_box_probability(model.mean, model.covariance, spec.user_count.probs,
+                                    box.upper, cfg)
 
 
-def find_gamma_s(
-    spec: SliceSpec,
-    cfg: QmcConfig,
-    gamma_tolerance: float = 1e-3,
-    stat_mode: str = "per_user",
-) -> float:
-    """Smallest margin gamma (within tolerance) whose target box reaches the
-    slice's required PSP, found by dichotomy on the monotone PSP curve.
+def find_gamma_s(spec: SliceSpec, cfg: QmcConfig, stat_mode: str = "per_user") -> float:
+    """Smallest margin gamma (within _GAMMA_TOLERANCE) whose target box
+    reaches the slice's required PSP, found by dichotomy on the monotone PSP
+    curve.
 
     The bracket search doubles the upper end from 1 (cap 2^20).  Bisection runs
     on a reduced-cost QMC configuration and the root is re-verified (and nudged
@@ -417,7 +403,7 @@ def find_gamma_s(
                 )
         lo = hi / 2.0 if hi > 1.0 else 0.0
 
-    while hi - lo > gamma_tolerance:
+    while hi - lo > _GAMMA_TOLERANCE:
         mid = 0.5 * (lo + hi)
         value, err = psp(mid, coarse_cfg())
         if abs(value - target) < 3.0 * err and boost["factor"] < 32:
@@ -434,7 +420,7 @@ def find_gamma_s(
     value, _ = psp(gamma, cfg)
     if value < target:
         for _ in range(64):
-            gamma += gamma_tolerance
+            gamma += _GAMMA_TOLERANCE
             value, _ = psp(gamma, cfg)
             if value >= target:
                 break
@@ -444,12 +430,12 @@ def find_gamma_s(
             )
     else:
         for _ in range(16):
-            if gamma - gamma_tolerance < 0.0:
+            if gamma - _GAMMA_TOLERANCE < 0.0:
                 break
-            value, _ = psp(gamma - gamma_tolerance, cfg)
+            value, _ = psp(gamma - _GAMMA_TOLERANCE, cfg)
             if value < target:
                 break
-            gamma -= gamma_tolerance
+            gamma -= _GAMMA_TOLERANCE
     return gamma
 
 

@@ -7,20 +7,21 @@ constraint matrix) plus the vector of current basic values, and supports the
 standard bounded-variable mechanics: entering variables may move up from
 their lower bound or down from their upper bound, and a ratio test can end in
 a bound flip instead of a basis exchange.  Dantzig pricing is used until a
-configurable run of degenerate pivots, after which Bland's rule guarantees
-termination.
+run of degenerate pivots (ten per column), after which Bland's rule
+guarantees termination.  The pivot tolerance (1e-9) and the primal
+feasibility tolerance (1e-7) are module constants.
 
 Every solve builds its tableau from a basis over ``[A | slacks]`` and runs
-the same two phases.  A bounded-variable dual simplex first drives the basic
-values into their bounds: a row that no nonbasic column can repair proves the
-LP infeasible.  A primal phase 2 then reaches optimality, or finds a ray
-along which the LP is unbounded.  Given the optimal :class:`Basis` of an LP
-that differs only in its variable bounds (a branch-and-bound parent), the
-dual phase starts from that basis, which stays dual feasible, and phase 2
-only removes what round-off left.  Without one (or when it is singular) the
-start is the slack basis with every structural at its lower bound, which is
-dual feasible once the costs are clipped at zero; phase 2 then brings back
-the negative costs.
+the same two phases through one pivot loop.  A bounded-variable dual simplex
+first drives the basic values into their bounds: a row that no nonbasic
+column can repair proves the LP infeasible.  A primal phase 2 then reaches
+optimality, or finds a ray along which the LP is unbounded.  Given the
+optimal :class:`Basis` of an LP that differs only in its variable bounds (a
+branch-and-bound parent), the dual phase starts from that basis, which stays
+dual feasible, and phase 2 only removes what round-off left.  Without one
+(or when it is singular) the start is the slack basis with every structural
+at its lower bound, which is dual feasible once the costs are clipped at
+zero; phase 2 then brings back the negative costs.
 
 Each basis is inverted at most once in a row.  The slack basis needs no
 inversion: its matrix is a diagonal of +-1, its own inverse.  The inverse of
@@ -41,6 +42,10 @@ AT_UPPER = 1
 BASIC = 2
 
 _INF = np.inf
+# Smallest |pivot| (and step length) treated as nonzero.
+_PIVOT_TOL = 1e-9
+# Largest bound violation of a basic value accepted as feasible.
+_FEAS_TOL = 1e-7
 
 # Largest deviation of B^-1 B from the identity accepted for a warm-start
 # basis; a worse factorization falls back to the slack basis.
@@ -117,7 +122,7 @@ def _factor(A, basic):
 
 
 class _Tableau:
-    def __init__(self, T, basis, status, xB, lower, upper, pivot_tol, degenerate_limit):
+    def __init__(self, T, basis, status, xB, lower, upper):
         self.m = T.shape[0]
         self.T = T
         self.basis = basis
@@ -125,23 +130,22 @@ class _Tableau:
         self.xB = xB
         self.lower = lower
         self.upper = upper
-        self.pivot_tol = pivot_tol
-        self.degenerate_limit = degenerate_limit
+        self.degenerate_limit = 10 * T.shape[1]
+        self.iteration_limit = 2000 * (self.m + T.shape[1])
         self.iterations = 0
 
     @classmethod
-    def from_factor(cls, factor, b, status, lower, upper, pivot_tol, degenerate_limit):
+    def from_factor(cls, factor, b, status, lower, upper):
         """Tableau of the factorized basis with the nonbasic ``status`` of a
         :class:`Basis`, and basic values recomputed from ``lower``/``upper``."""
         status = np.array(status, dtype=np.int8)
         status[factor.basic] = BASIC
-        tab = cls(factor.T.copy(), factor.basic.copy(), status, None, lower, upper,
-                  pivot_tol, degenerate_limit)
+        tab = cls(factor.T.copy(), factor.basic.copy(), status, None, lower, upper)
         tab.xB = factor.inv @ (b - factor.A @ tab.nonbasic_values())
         return tab
 
     @classmethod
-    def slack(cls, A, b, sign, lower, upper, pivot_tol, degenerate_limit):
+    def slack(cls, A, b, sign, lower, upper):
         """Tableau of the slack basis, every structural at its lower bound.
         The basis matrix is ``diag(sign)``, its own inverse."""
         m, n_full = A.shape
@@ -149,8 +153,7 @@ class _Tableau:
         T = A * sign[:, None]
         T[:, n:] = np.eye(m)
         status = np.repeat(np.int8([AT_LOWER, BASIC]), [n, m])
-        tab = cls(T, np.arange(n, n_full), status, None, lower, upper, pivot_tol,
-                  degenerate_limit)
+        tab = cls(T, np.arange(n, n_full), status, None, lower, upper)
         tab.xB = sign * (b - A @ tab.nonbasic_values())
         return tab
 
@@ -190,13 +193,12 @@ class _Tableau:
         # Moving x_j by +t*direction changes basics by -t*direction*d.
         d = self.T[:, j] * direction
         t_max = self.upper[j] - self.lower[j]  # bound-flip distance
-        tol = self.pivot_tol
         lower_b = self.lower[self.basis]
         upper_b = self.upper[self.basis]
         ratios = np.full(self.m, np.inf)
-        pos = d > tol
+        pos = d > _PIVOT_TOL
         ratios[pos] = (self.xB[pos] - lower_b[pos]) / d[pos]
-        neg = (d < -tol) & np.isfinite(upper_b)
+        neg = (d < -_PIVOT_TOL) & np.isfinite(upper_b)
         ratios[neg] = (upper_b[neg] - self.xB[neg]) / (-d[neg])
         i_min = int(np.argmin(ratios)) if self.m else -1
         t_min = ratios[i_min] if i_min >= 0 else np.inf
@@ -225,7 +227,10 @@ class _Tableau:
         self.status[j] = BASIC
         self.xB[row] = entering_value
 
-    def step(self, c, bland):
+    def primal_step(self, c, bland):
+        """One primal simplex iteration: price, then pivot or flip the
+        entering column.  Every pricing counts as an iteration."""
+        self.iterations += 1
         rc = self._price(c)
         j, direction = self._choose_entering(rc, bland)
         if j is None:
@@ -237,7 +242,7 @@ class _Tableau:
         if row < 0:
             # Bound flip: the entering variable traverses its whole range.
             self.status[j] = AT_UPPER if direction > 0 else AT_LOWER
-            return "flip" if t > self.pivot_tol else "degenerate"
+            return "flip" if t > _PIVOT_TOL else "degenerate"
         leaving = self.basis[row]
         entering_value = (self.lower[j] if direction > 0 else self.upper[j]) + direction * t
         # d is already direction-adjusted: basics move by -t*d, so a positive
@@ -247,35 +252,18 @@ class _Tableau:
         else:
             self.status[leaving] = AT_UPPER
         self._pivot(row, j, entering_value)
-        return "pivot" if t > self.pivot_tol else "degenerate"
+        return "pivot" if t > _PIVOT_TOL else "degenerate"
 
-    def run(self, c, iteration_limit):
-        degenerate_run = 0
-        bland = False
-        while self.iterations < iteration_limit:
-            outcome = self.step(c, bland)
-            self.iterations += 1
-            if outcome == "optimal":
-                return "optimal"
-            if outcome == "unbounded":
-                return "unbounded"
-            if outcome == "degenerate":
-                degenerate_run += 1
-                if degenerate_run >= self.degenerate_limit:
-                    bland = True
-            else:
-                degenerate_run = 0
-        return "iteration_limit"
-
-    def dual_step(self, c, feas_tol, bland):
+    def dual_step(self, c, bland):
         """One dual simplex pivot: the most violated basic leaves at the bound
         it violates, and the entering column is the one whose reduced cost
-        reaches zero first along that row (dual ratio test)."""
+        reaches zero first along that row (dual ratio test).  Only a pivot
+        counts as an iteration."""
         lower_b = self.lower[self.basis]
         upper_b = self.upper[self.basis]
         below = lower_b - self.xB
         violation = np.maximum(below, self.xB - upper_b)
-        rows = np.where(violation > feas_tol)[0]
+        rows = np.where(violation > _FEAS_TOL)[0]
         if rows.size == 0:
             return "feasible"
         if bland:
@@ -292,10 +280,11 @@ class _Tableau:
         eligible = np.where(
             (self.status != BASIC)
             & (self.upper - self.lower > 0)
-            & (push > self.pivot_tol)
+            & (push > _PIVOT_TOL)
         )[0]
         if eligible.size == 0:
             return "infeasible"
+        self.iterations += 1
         rc = c[eligible] - c[self.basis] @ self.T[:, eligible]
         # Dual feasibility makes rc * direction >= 0; clip round-off.
         ratios = np.maximum(rc * direction[eligible], 0.0) / push[eligible]
@@ -313,23 +302,24 @@ class _Tableau:
         self.xB -= delta * self.T[:, j]
         self.status[self.basis[row]] = AT_LOWER if to_lower else AT_UPPER
         self._pivot(row, j, start_value + delta)
-        return "pivot" if t > self.pivot_tol else "degenerate"
+        return "pivot" if t > _PIVOT_TOL else "degenerate"
 
-    def dual_run(self, c, feas_tol, iteration_limit):
+    def run(self, step, c):
+        """Take ``step(c, bland)`` until it returns an outcome other than a
+        pivot, a flip or a degenerate step, and return that outcome.  Bland's
+        rule takes over for good after a run of degenerate steps."""
         degenerate_run = 0
         bland = False
-        while self.iterations < iteration_limit:
-            outcome = self.dual_step(c, feas_tol, bland)
-            if outcome in ("feasible", "infeasible"):
-                return outcome
-            self.iterations += 1
+        while self.iterations < self.iteration_limit:
+            outcome = step(c, bland)
             if outcome == "degenerate":
                 degenerate_run += 1
-                if degenerate_run >= self.degenerate_limit:
-                    bland = True
-            else:
+                bland = bland or degenerate_run >= self.degenerate_limit
+            elif outcome in ("pivot", "flip"):
                 degenerate_run = 0
-        return "iteration_limit"
+            else:
+                return outcome
+        raise RuntimeError(f"simplex iteration limit exceeded in {step.__name__}")
 
 
 def solve_lp(
@@ -339,8 +329,6 @@ def solve_lp(
     c,
     lower,
     upper,
-    pivot_tol=1e-9,
-    feas_tol=1e-7,
     basis: Basis | None = None,
 ):
     """Minimize c'x subject to row relations and variable bounds.
@@ -379,8 +367,6 @@ def solve_lp(
     lower_full = np.concatenate([lower, np.zeros(m)])
     upper_full = np.concatenate([upper, slack_upper])
     n_full = n + m
-    degenerate_limit = 10 * n_full
-    iteration_limit = 2000 * (m + n_full)
     c_full = np.concatenate([c, np.zeros(m)])
 
     tab = None
@@ -393,25 +379,17 @@ def solve_lp(
         factor, fresh = _factor(A_full, basic)
         factorizations = int(fresh)
         if factor is not None:
-            tab = _Tableau.from_factor(factor, b, basis.status, lower_full, upper_full,
-                                       pivot_tol, degenerate_limit)
+            tab = _Tableau.from_factor(factor, b, basis.status, lower_full, upper_full)
     if tab is None:
         # Every structural at its lower bound: dual feasible for the costs
         # clipped at zero.
-        tab = _Tableau.slack(A_full, b, slack_sign, lower_full, upper_full,
-                             pivot_tol, degenerate_limit)
+        tab = _Tableau.slack(A_full, b, slack_sign, lower_full, upper_full)
         dual_costs = np.maximum(c_full, 0.0)
-    status = tab.dual_run(dual_costs, feas_tol, iteration_limit)
-    if status == "iteration_limit":
-        raise RuntimeError("simplex iteration limit exceeded in the dual phase")
-    if status == "infeasible":
+    if tab.run(tab.dual_step, dual_costs) == "infeasible":
         return LpResult(status="infeasible", iterations=tab.iterations,
                         factorizations=factorizations)
 
-    status = tab.run(c_full, iteration_limit)
-    if status == "iteration_limit":
-        raise RuntimeError("simplex iteration limit exceeded in phase 2")
-    if status == "unbounded":
+    if tab.run(tab.primal_step, c_full) == "unbounded":
         return LpResult(status="unbounded", iterations=tab.iterations,
                         factorizations=factorizations)
     x = tab.solution()

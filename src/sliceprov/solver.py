@@ -8,10 +8,11 @@ parent in one variable bound, from the parent's optimal basis (a pair of
 small integer arrays kept on the heap entry).  The two children of a node
 share that basis, so when the second is solved while the simplex still holds
 its sibling's factorization, it inverts nothing.  :class:`SolveResult`
-reports the LPs, simplex iterations and basis inversions of a solve.  Models
-can be exported to and re-imported from the widely used CPLEX LP text
-format, and externally produced assignments can be validated and scored with
-:func:`import_solution`.
+reports the nodes (one LP each), simplex iterations and basis inversions of
+a solve.  A node is pruned, and a solve is optimal, within a relative gap of
+1e-6.  Models can be exported to and re-imported from the widely used CPLEX
+LP text format, and externally produced assignments can be validated and
+scored with :func:`import_solution`.
 """
 
 from __future__ import annotations
@@ -28,11 +29,12 @@ from .milp import MilpModel, MilpVariable, make_constraint
 from .simplex import solve_lp
 
 _INT_TOL = 1e-6
+# Relative optimality gap at which a node is pruned and a solve is optimal.
+_GAP_TOLERANCE = 1e-6
 
 
 @dataclass
 class SolverConfig:
-    gap_tolerance: float = 1e-6  # relative optimality gap
     time_limit: float | None = None  # seconds
     node_limit: int | None = None
 
@@ -43,9 +45,8 @@ class SolveResult:
     objective: float = float("nan")
     assignment: dict = field(default_factory=dict)  # name -> int value
     gap: float = float("inf")
-    node_count: int = 0
+    node_count: int = 0  # branch-and-bound nodes, each of which solves one LP
     wall_time: float = 0.0
-    lp_solves: int = 0
     iterations: int = 0  # simplex iterations over all LPs
     factorizations: int = 0  # basis inversions over all LPs
 
@@ -157,7 +158,7 @@ def solve_model(model: MilpModel, config: SolverConfig | None = None,
         neg_bound, neg_depth, _, lo, hi, parent_basis = heapq.heappop(heap)
         bound = -neg_bound
         depth = -neg_depth
-        tol_abs = config.gap_tolerance * max(1.0, abs(incumbent_obj))
+        tol_abs = _GAP_TOLERANCE * max(1.0, abs(incumbent_obj))
         if bound <= incumbent_obj + tol_abs:
             continue
         res = solve_lp(A, b, relations, c_min, lo, hi, basis=parent_basis)
@@ -214,9 +215,8 @@ def solve_model(model: MilpModel, config: SolverConfig | None = None,
         best_bound = incumbent_obj
 
     wall = time.monotonic() - start
-    # Every node solved exactly one LP.
-    counts = dict(node_count=node_count, wall_time=wall, lp_solves=node_count,
-                  iterations=iterations, factorizations=factorizations)
+    counts = dict(node_count=node_count, wall_time=wall, iterations=iterations,
+                  factorizations=factorizations)
     if incumbent is None:
         status = "timeout" if hit_limit else "infeasible"
         return SolveResult(status=status, **counts)
@@ -224,7 +224,7 @@ def solve_model(model: MilpModel, config: SolverConfig | None = None,
     if not heap and not hit_limit:
         status = "optimal"
         gap = 0.0
-    elif gap <= config.gap_tolerance:
+    elif gap <= _GAP_TOLERANCE:
         status = "optimal"
     elif hit_limit and config.time_limit is not None and wall > config.time_limit:
         status = "timeout"

@@ -109,23 +109,17 @@ def validate(graph: InfrastructureGraph) -> list:
     return violations
 
 
-def build_fat_tree(
-    k: int,
-    layer_caps: dict,
-    layer_fixed_costs: dict | None = None,
-    bandwidths: dict | None = None,
-    node_unit_cost: ResourceVector = ResourceVector(1.0, 1.0, 1.0),
-    link_unit_cost: float = 1.0,
-    loopback_unit_cost: float = 1.0,
-    loopback_bandwidths: dict | None = None,
-) -> InfrastructureGraph:
+def build_fat_tree(k: int, layer_caps: dict,
+                   bandwidths: dict | None = None) -> InfrastructureGraph:
     """Generate a 4-layer k-ary fat tree: central root, k regional, k^2 edge, k^3 RRH.
 
     ``layer_caps`` maps each layer name to a ResourceVector; ``bandwidths`` maps
     tier names ("central-regional", "regional-edge", "edge-rrh") to link rates
     in Gbps.  Adjacent layers are joined by directed link pairs and every node
-    gets one loopback link.  Loopback bandwidth defaults to the node's uplink
-    rate (the root reuses the central-regional rate).
+    gets one loopback link at its uplink rate (the root reuses the
+    central-regional rate).  Node fixed costs are DEFAULT_FIXED_COSTS by
+    layer; every unit cost, of node resources and of link bandwidth
+    (loopbacks included), is 1.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -137,9 +131,6 @@ def build_fat_tree(
     for tier in TIERS:
         if tier not in bandwidths:
             raise ValueError(f"missing bandwidth config for tier {tier!r}")
-    fixed = dict(DEFAULT_FIXED_COSTS)
-    if layer_fixed_costs:
-        fixed.update(layer_fixed_costs)
 
     graph = InfrastructureGraph()
 
@@ -148,13 +139,8 @@ def build_fat_tree(
         if layer != "rrh" and cap.wireless > 0:
             raise ValueError("wireless capacity only allowed on the rrh layer")
         graph.add_node(
-            InfraNode(
-                id=node_id,
-                layer=layer,
-                capacity=cap,
-                unit_cost=node_unit_cost,
-                fixed_cost=fixed[layer],
-            )
+            InfraNode(id=node_id, layer=layer, capacity=cap,
+                      fixed_cost=DEFAULT_FIXED_COSTS[layer])
         )
 
     uplink_rate = {
@@ -173,8 +159,8 @@ def build_fat_tree(
                 make_node(f"rrh-{a}-{b}-{c}", "rrh")
 
     def link_pair(u, v, rate):
-        graph.add_link(InfraLink(u, v, rate, link_unit_cost))
-        graph.add_link(InfraLink(v, u, rate, link_unit_cost))
+        graph.add_link(InfraLink(u, v, rate))
+        graph.add_link(InfraLink(v, u, rate))
 
     for a in range(k):
         link_pair("central", f"regional-{a}", bandwidths["central-regional"])
@@ -184,9 +170,6 @@ def build_fat_tree(
                 link_pair(f"edge-{a}-{b}", f"rrh-{a}-{b}-{c}", bandwidths["edge-rrh"])
 
     for node_id, node in graph.nodes.items():
-        rate = uplink_rate[node.layer]
-        if loopback_bandwidths and node.layer in loopback_bandwidths:
-            rate = loopback_bandwidths[node.layer]
-        graph.add_link(InfraLink(node_id, node_id, rate, loopback_unit_cost))
+        graph.add_link(InfraLink(node_id, node_id, uplink_rate[node.layer]))
 
     return graph

@@ -1,5 +1,6 @@
 import csv
 
+import pytest
 import yaml
 from click.testing import CliRunner
 
@@ -181,6 +182,50 @@ def test_calibrate_prints_margin_and_curve():
     assert "gamma =" in result.output
     assert "gamma,psp" in result.output
     assert len(result.output.strip().splitlines()) == 2 + 3
+
+
+def assert_config_error(result):
+    assert result.exit_code == 2, result.output
+    assert "error:" in result.output
+    # sys.exit, not an exception escaping with a traceback.
+    assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("change", [
+    {"mix": [{"type": "micro", "count": -1}]},
+    {"mix": [{"type": "micro", "required_psp": 1.5}]},
+    {"max_impact": 2.0},
+    {"variants": []},
+    {"repetitions": 0},
+    {"verify_trials": -1},
+], ids=["negative-count", "required-psp", "max-impact", "no-variants", "no-repetitions",
+        "negative-trials"])
+def test_provision_malformed_scenario_is_a_config_error(tmp_path, change):
+    out = tmp_path / "out"
+    result = CliRunner().invoke(
+        main,
+        ["provision", "--scenario", str(write_scenario(tmp_path, dict(TINY_SCENARIO, **change))),
+         "--out", str(out)],
+    )
+    assert_config_error(result)
+    assert not out.exists()  # nothing was provisioned
+
+
+def test_max_impact_override_out_of_range_is_a_config_error(tmp_path):
+    out = tmp_path / "out"
+    result = CliRunner().invoke(
+        main,
+        ["provision", "--scenario", "single-type1", "--max-impact", "2.0", "--out", str(out)],
+    )
+    assert_config_error(result)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["--samples", "10"], ["--psp", "1.5"]],
+                         ids=["samples", "psp"])
+def test_calibrate_out_of_range_option_is_a_config_error(args):
+    result = CliRunner().invoke(main, ["calibrate", "--slice-type", "type1", *args])
+    assert_config_error(result)
 
 
 def test_calibrate_unknown_type_fails():

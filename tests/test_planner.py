@@ -2,8 +2,8 @@ import dataclasses
 
 import pytest
 
-from sliceprov import planner
-from sliceprov.demand import BackgroundModel
+from sliceprov import milp, planner
+from sliceprov.demand import BackgroundModel, slice_catalog
 from sliceprov.planner import (
     ProvisioningPlan,
     VariantConfig,
@@ -46,6 +46,20 @@ def test_variant_names():
         VariantConfig(mode="sideways")
     with pytest.raises(ValueError):
         VariantConfig(ordering="random")
+
+
+def test_plan_cost_is_the_milp_cost_of_its_assignment():
+    # Type 2 under SP is a plan whose cost, summed per resource type rather
+    # than term by term, comes out one ulp higher.
+    graph = default_graph()
+    spec = next(s for s in slice_catalog() if s.id == "type2")
+    variant = variant_from_name("SP")
+    plan = provision([spec], graph, variant).slices[spec.id]
+    [(_, _, res)] = planner.sequential_steps([spec], graph, variant)
+    assert plan.accepted
+    cost = sum(c * res.assignment[v] for c, v in milp.slice_cost_terms(spec, graph))
+    assert plan.cost.hex() == cost.hex()
+    assert plan.earnings == spec.income - cost
 
 
 def test_order_slices():

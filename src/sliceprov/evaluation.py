@@ -81,6 +81,8 @@ class Scenario:
     def __post_init__(self):
         if not self.variants:
             raise ValueError("scenario needs at least one variant")
+        for name in self.variants:
+            variant_from_name(name)  # an unknown name fails before any provisioning
         if not 0.0 < self.max_impact < 1.0:
             raise ValueError("max_impact must lie strictly in (0, 1)")
         if self.repetitions < 1 or self.verify_trials < 0:
@@ -275,6 +277,10 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959964):
     return max(0.0, center - half), min(1.0, center + half)
 
 
+# Fewest trials for which verify_by_simulation reports intervals.
+MIN_VERIFY_TRIALS = 10_000
+
+
 def verify_by_simulation(plan: ProvisioningPlan, graph, background, trials: int,
                          seed: int = 0) -> dict:
     """Empirical check of the plan against fresh randomness.
@@ -286,8 +292,8 @@ def verify_by_simulation(plan: ProvisioningPlan, graph, background, trials: int,
     loads are looked up by element key and drawn only for the elements that
     can overrun at all.
     """
-    if trials < 10_000:
-        raise ValueError("need at least 10^4 trials for meaningful intervals")
+    if trials < MIN_VERIFY_TRIALS:
+        raise ValueError(f"need at least {MIN_VERIFY_TRIALS:,} trials for meaningful intervals")
     psp = {}
     for index, (sid, slice_plan) in enumerate(sorted(plan.slices.items())):
         box = slice_plan.provisioned_box()

@@ -11,6 +11,14 @@ run of degenerate pivots (ten per column), after which Bland's rule
 guarantees termination.  The pivot tolerance (1e-9) and the primal
 feasibility tolerance (1e-7) are module constants.
 
+Each choice by largest score (the entering column, the largest pivot among
+the rows that limit the step, the most violated row and the dual entering
+column) breaks ties by a stated rule: every candidate within a relative 1e-9
+of the best ties (:func:`near_max`), and the lowest column wins, or for a
+row the one with the lowest basic column.  Scores that are equal in exact
+arithmetic differ by round-off, which depends on the BLAS and its thread
+count; with the rule, the choice among them does not.
+
 Every solve builds its tableau from a basis over ``[A | slacks]`` and runs
 the same two phases through one pivot loop.  A bounded-variable dual simplex
 first drives the basic values into their bounds: a row that no nonbasic
@@ -50,6 +58,17 @@ _FEAS_TOL = 1e-7
 # Largest deviation of B^-1 B from the identity accepted for a warm-start
 # basis; a worse factorization falls back to the slack basis.
 _FACTOR_TOL = 1e-9
+# Relative distance from the largest score within which two candidates tie.
+_TIE_TOL = 1e-9
+
+
+def near_max(values):
+    """Mask of the entries within a relative 1e-9 of the largest.  Values
+    that are equal in exact arithmetic may differ by round-off, which
+    depends on the BLAS and its thread count; a choice among them by
+    index is the same everywhere."""
+    best = values.max()
+    return values >= best - _TIE_TOL * abs(best)
 
 
 @dataclass(frozen=True)
@@ -185,7 +204,7 @@ class _Tableau:
         if bland:
             j = candidates[0]
         else:
-            j = candidates[np.argmax(np.abs(rc[candidates]))]
+            j = candidates[np.argmax(near_max(np.abs(rc[candidates])))]
         direction = 1 if self.status[j] == AT_LOWER else -1
         return int(j), direction
 
@@ -205,12 +224,12 @@ class _Tableau:
         if t_min >= t_max:
             return t_max, -1, d
         # Among rows within tolerance of the minimum ratio, pick the largest
-        # |pivot| for stability (or the smallest basis index under Bland).
+        # |pivot| for stability, ties to the smallest basis index (which
+        # Bland's rule takes outright).
         close = np.where(ratios <= t_min + 1e-12)[0]
-        if bland:
-            limit_row = int(close[np.argmin(self.basis[close])])
-        else:
-            limit_row = int(close[np.argmax(np.abs(d[close]))])
+        if not bland:
+            close = close[near_max(np.abs(d[close]))]
+        limit_row = int(close[np.argmin(self.basis[close])])
         return max(t_min, 0.0), limit_row, d
 
     def _pivot(self, row, j, entering_value):
@@ -266,10 +285,9 @@ class _Tableau:
         rows = np.where(violation > _FEAS_TOL)[0]
         if rows.size == 0:
             return "feasible"
-        if bland:
-            row = int(rows[np.argmin(self.basis[rows])])
-        else:
-            row = int(rows[np.argmax(violation[rows])])
+        if not bland:
+            rows = rows[near_max(violation[rows])]
+        row = int(rows[np.argmin(self.basis[rows])])
         to_lower = below[row] > 0
         # x_B[row] moves by -alpha_j * delta_j when nonbasic x_j moves by
         # delta_j (positive from its lower bound, negative from its upper);
@@ -290,10 +308,9 @@ class _Tableau:
         ratios = np.maximum(rc * direction[eligible], 0.0) / push[eligible]
         t = ratios.min()
         close = eligible[ratios <= t + 1e-12]
-        if bland:
-            j = int(close[0])
-        else:
-            j = int(close[np.argmax(np.abs(alpha[close]))])
+        if not bland:
+            close = close[near_max(np.abs(alpha[close]))]
+        j = int(close[0])
         target = lower_b[row] if to_lower else upper_b[row]
         delta = (self.xB[row] - target) / alpha[j]
         start_value = self.upper[j] if self.status[j] == AT_UPPER else self.lower[j]

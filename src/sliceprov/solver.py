@@ -2,17 +2,26 @@
 
 The LP relaxations are handled by the bounded-variable simplex in
 ``simplex``; integrality is enforced by best-first branch and bound with
-most-fractional branching.  Each node solves one LP, by the same simplex
-path: the root from the slack basis, and every child, which differs from its
-parent in one variable bound, from the parent's optimal basis (a pair of
-small integer arrays kept on the heap entry).  The two children of a node
+most-fractional branching, near-equal scores tied to the lowest column.
+Each node solves one LP, by the same simplex path: the root from the slack
+basis, and every child, which differs from its parent in one variable bound,
+from the parent's optimal basis (a pair of small integer arrays kept on the
+heap entry).  The two children of a node
 share that basis, so when the second is solved while the simplex still holds
-its sibling's factorization, it inverts nothing.  :class:`SolveResult`
-reports the nodes (one LP each), simplex iterations and basis inversions of
-a solve.  A node is pruned, and a solve is optimal, within a relative gap of
-1e-6.  Models can be exported to and re-imported from the widely used CPLEX
-LP text format, and externally produced assignments can be validated and
-scored with :func:`import_solution`.
+its sibling's factorization, it inverts nothing.
+
+Every solve presolves once, at the root: a row that holds over the whole box
+of variable bounds (its least and greatest activities, compared exactly with
+its right-hand side) is left out of every LP of the search.  Branching only
+tightens bounds, so such a row holds at every node.  The model itself, its
+LP export, and the incumbent checks keep every row.
+
+:class:`SolveResult` reports the nodes (one LP each), simplex iterations,
+basis inversions, root bound and the rows kept by the presolve.  A node is
+pruned, and a solve is optimal, within a relative gap of 1e-6.  Models can
+be exported to and re-imported from the widely used CPLEX LP text format,
+and externally produced assignments can be validated and scored with
+:func:`import_solution`.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .milp import MilpModel, MilpVariable, make_constraint
-from .simplex import solve_lp
+from .simplex import near_max, solve_lp
 
 _INT_TOL = 1e-6
 # Relative optimality gap at which a node is pruned and a solve is optimal.
@@ -49,6 +58,10 @@ class SolveResult:
     wall_time: float = 0.0
     iterations: int = 0  # simplex iterations over all LPs
     factorizations: int = 0  # basis inversions over all LPs
+    # Objective of the root LP relaxation (-inf when it is infeasible, nan
+    # when no LP was solved): the first upper bound of the search.
+    root_bound: float = float("nan")
+    lp_rows: int = 0  # rows kept by the presolve, which every LP solves with
 
 
 def _to_arrays(model: MilpModel):
@@ -71,6 +84,26 @@ def _to_arrays(model: MilpModel):
     for var, coeff in model.objective.items():
         c[index[var]] = float(coeff)
     return names, A, b, relations, c, lower, upper, binary
+
+
+def _binding_rows(A, b, relations, lower, upper):
+    """Indices of the rows that can bind for some x in [lower, upper].
+
+    A row whose least and greatest activities over the bounds both satisfy
+    it holds at every such x: "<=" when the greatest is at most b, ">="
+    when the least is at least b, "=" when both equal b.  The comparisons
+    are exact.  Branch and bound only tightens bounds, so a row redundant
+    at the root stays redundant at every node.
+    """
+    at_lower, at_upper = A * lower, A * upper  # model bounds are finite
+    least = np.minimum(at_lower, at_upper).sum(axis=1)
+    greatest = np.maximum(at_lower, at_upper).sum(axis=1)
+    relations = np.array(relations, dtype=object)
+    redundant = np.where(
+        relations == "<=", greatest <= b,
+        np.where(relations == ">=", least >= b, (least == b) & (greatest == b)),
+    )
+    return np.flatnonzero(~redundant)
 
 
 def _feasible(A, b, relations, x, tol=1e-6):
@@ -109,6 +142,10 @@ def solve_model(model: MilpModel, config: SolverConfig | None = None,
     start = time.monotonic()
     names, A, b, relations, c, lower, upper, binary = _to_arrays(model)
     n = len(names)
+    # Every LP of the search solves only the rows that can bind under the
+    # root bounds; incumbents are checked against every row.
+    rows = _binding_rows(A, b, relations, lower, upper)
+    A_lp, b_lp, relations_lp = A[rows], b[rows], [relations[i] for i in rows]
     # Simplex minimizes; negate the (maximize) objective.
     c_min = -c
 
@@ -137,6 +174,7 @@ def solve_model(model: MilpModel, config: SolverConfig | None = None,
     counter = 0
     node_count = 0
     iterations = factorizations = 0
+    root_bound = math.nan
     best_bound = math.inf
     heap = []
 
@@ -161,10 +199,12 @@ def solve_model(model: MilpModel, config: SolverConfig | None = None,
         tol_abs = _GAP_TOLERANCE * max(1.0, abs(incumbent_obj))
         if bound <= incumbent_obj + tol_abs:
             continue
-        res = solve_lp(A, b, relations, c_min, lo, hi, basis=parent_basis)
+        res = solve_lp(A_lp, b_lp, relations_lp, c_min, lo, hi, basis=parent_basis)
         node_count += 1
         iterations += res.iterations
         factorizations += res.factorizations
+        if node_count == 1:  # bounded variables: optimal or infeasible
+            root_bound = -res.objective if res.status == "optimal" else -math.inf
         if res.status != "optimal":
             continue
         bound = -res.objective
@@ -187,13 +227,15 @@ def solve_model(model: MilpModel, config: SolverConfig | None = None,
         # Branch on fixed-charge / acceptance binaries before instance
         # counts: they decide the combinatorial structure, and weighting by
         # the objective coefficient targets the binary whose fractional
-        # fixed cost keeps the relaxation bound loose.
+        # fixed cost keeps the relaxation bound loose.  Near-equal scores
+        # tie, and the lowest column wins.
         score = np.minimum(frac, 1 - frac)
         frac_bin = fractional[binary[fractional]]
         if frac_bin.size:
-            j = frac_bin[np.argmax(score[frac_bin] * (1.0 + np.abs(c[frac_bin])))]
+            pool, scores = frac_bin, score[frac_bin] * (1.0 + np.abs(c[frac_bin]))
         else:
-            j = fractional[np.argmax(score[fractional])]
+            pool, scores = fractional, score[fractional]
+        j = pool[np.argmax(near_max(scores))]
         floor_v = math.floor(x[j])
         children = []
         hi_child = hi.copy()
@@ -216,7 +258,8 @@ def solve_model(model: MilpModel, config: SolverConfig | None = None,
 
     wall = time.monotonic() - start
     counts = dict(node_count=node_count, wall_time=wall, iterations=iterations,
-                  factorizations=factorizations)
+                  factorizations=factorizations, root_bound=root_bound,
+                  lp_rows=len(rows))
     if incumbent is None:
         status = "timeout" if hit_limit else "infeasible"
         return SolveResult(status=status, **counts)

@@ -196,10 +196,11 @@ def assert_config_error(result):
     {"mix": [{"type": "micro", "required_psp": 1.5}]},
     {"max_impact": 2.0},
     {"variants": []},
+    {"variants": ["SP", "XX"]},
     {"repetitions": 0},
     {"verify_trials": -1},
-], ids=["negative-count", "required-psp", "max-impact", "no-variants", "no-repetitions",
-        "negative-trials"])
+], ids=["negative-count", "required-psp", "max-impact", "no-variants", "unknown-variant",
+        "no-repetitions", "negative-trials"])
 def test_provision_malformed_scenario_is_a_config_error(tmp_path, change):
     out = tmp_path / "out"
     result = CliRunner().invoke(
@@ -245,3 +246,17 @@ def test_verify_reports_empirical_psp(tmp_path):
     assert result.exit_code == 0, result.output
     assert "empirical PSP" in result.output
     assert "max empirical impact" in result.output
+
+
+def test_verify_with_too_few_trials_is_a_config_error(tmp_path, monkeypatch):
+    def provision(*args, **kwargs):
+        raise AssertionError("provisioned before the trials were checked")
+
+    monkeypatch.setattr(planner, "provision", provision)
+    result = CliRunner().invoke(
+        main,
+        ["verify", "--scenario", str(write_scenario(tmp_path)),
+         "--variant", "SP", "--trials", "9999"],
+    )
+    assert_config_error(result)
+    assert "--trials must be at least 10,000" in result.output

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import tracemalloc
@@ -6,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sliceprov import planner
+from sliceprov import evaluation, planner
 from sliceprov.demand import BACKGROUND_BLOCK_ROWS, Z_MAX, BackgroundModel, slice_catalog
 from sliceprov.evaluation import (
     IMPACT_SWEEP_GRID,
@@ -66,6 +67,15 @@ def test_scenario_validation():
         Scenario(name="x", mix=(("type1", 1, None),), variants=())
     with pytest.raises(ValueError):
         Scenario(name="x", mix=(("ghost", 1, None),)).build_slices()
+
+
+def test_unknown_variant_fails_before_any_provisioning(monkeypatch):
+    calls = []
+    monkeypatch.setattr(evaluation, "provision", lambda *args, **kwargs: calls.append(args))
+    scenario = Scenario(name="x", mix=(("type1", 1, None),), variants=("SP",), repetitions=2)
+    with pytest.raises(ValueError, match="unknown variant 'XX'"):
+        run_scenario(dataclasses.replace(scenario, variants=("SP", "XX")))
+    assert calls == []
 
 
 def _toy_plan(graph, accepted=True):

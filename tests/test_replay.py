@@ -17,9 +17,10 @@ def test_replay_prints_one_digest_line_per_seed():
     lines = run.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == ["calibrate seed 1", "calibrate seed 2"]
     for line in lines:
-        assert "solves 1, nodes 1, lps 1, iterations 105, digest " in line
-    # The root LP starts from the slack basis, which needs no inversion.
-    assert "calibrate: 0 basis inversions over seeds 1-2" in run.stderr
+        assert "solves 1, nodes 2, lps 2, iterations 97, digest " in line
+    # The root LP starts from the slack basis, which needs no inversion; the
+    # child of seed 1 inverts the root's basis, and that of seed 2 reuses it.
+    assert "calibrate: 1 basis inversions over seeds 1-2" in run.stderr
     # Replays are deterministic, and --details adds the records only.
     detailed = _replay("--seeds", "1-2", "--workloads", "calibrate", "--details")
     records = [line for line in detailed.stdout.splitlines() if line.startswith("(")]

@@ -1,8 +1,9 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from sliceprov import demand, evaluation, planner
 from sliceprov import simplex as simplex_module
@@ -501,6 +502,180 @@ def test_bnb_node_limit_reports_gap():
         assert res.gap > 0.0
     # The all-zero incumbent guarantees an assignment either way.
     assert res.assignment
+
+
+# ---------------------------------------------------------------------------
+# Presolve, tie rule and root bound
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def lp_shapes(monkeypatch):
+    """The shape of the matrix of every LP that solve_model solves."""
+    shapes = []
+
+    def recording_solve_lp(A, *args, **kwargs):
+        shapes.append(np.shape(A))
+        return solve_lp(A, *args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "solve_lp", recording_solve_lp)
+    return shapes
+
+
+def test_a_model_whose_rows_cannot_bind_solves_an_lp_without_rows(lp_shapes):
+    model = MilpModel()
+    model.add_variable(MilpVariable("x", "binary", 0.0, 1.0))
+    model.add_variable(MilpVariable("y", "nonneg_integer", 0.0, 3.0))
+    model.add_variable(MilpVariable("z", "nonneg_integer", 2.0, 2.0))
+    # Greatest activity 7, least activity -3, and z fixed at 2.
+    model.add_constraint(make_constraint("cap", [(1, "x"), (2, "y")], "<=", 7))
+    model.add_constraint(make_constraint("floor", [(1, "x"), (-1, "y")], ">=", -3))
+    model.add_constraint(make_constraint("fixed", [(1, "z")], "=", 2))
+    model.set_objective({"x": 1.0, "y": 2.0, "z": -1.0})
+    res = solve_model(model)
+    assert res.status == "optimal" and res.lp_rows == 0
+    assert res.assignment == {"x": 1, "y": 3, "z": 2}
+    assert res.objective == 5.0 == import_solution(model, res.assignment)
+    assert lp_shapes == [(0, 3)]
+
+
+@pytest.mark.parametrize("relation, rhs", [("<=", 0), (">=", 9), ("=", 0)])
+def test_a_row_no_point_of_the_bounds_satisfies_is_infeasible(relation, rhs):
+    # x + y lies in [1, 3] over the bounds.
+    model = MilpModel()
+    model.add_variable(MilpVariable("x", "nonneg_integer", 1.0, 2.0))
+    model.add_variable(MilpVariable("y", "binary", 0.0, 1.0))
+    model.add_constraint(make_constraint("no", [(1, "x"), (1, "y")], relation, rhs))
+    model.set_objective({"x": 1.0, "y": 1.0})
+    res = solve_model(model)
+    assert res.status == "infeasible" and res.assignment == {}
+    assert res.lp_rows == 1 and res.root_bound == -INF
+
+
+def _random_milps(count=80):
+    """Small random MILPs with a known integer point, so all are feasible.
+    About a third of the rows cannot bind under the bounds."""
+    rng = np.random.default_rng(2020)
+    for _ in range(count):
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(1, 7))
+        A = rng.integers(-4, 5, size=(m, n))
+        A[~A.any(axis=1), 0] = 1  # every row has a term
+        upper = rng.integers(1, 5, size=n)
+        x0 = rng.integers(0, upper + 1)
+        least = np.minimum(A * upper, 0).sum(axis=1)
+        greatest = np.maximum(A * upper, 0).sum(axis=1)
+        relations, b = [], []
+        for i in range(m):
+            relation = str(rng.choice(["<=", ">=", "="], p=[0.45, 0.45, 0.1]))
+            loose = rng.random() < 1 / 3
+            if relation == "<=":
+                rhs = greatest[i] if loose else A[i] @ x0 + rng.integers(0, 3)
+            elif relation == ">=":
+                rhs = least[i] if loose else A[i] @ x0 - rng.integers(0, 3)
+            else:
+                rhs = A[i] @ x0
+            relations.append(relation)
+            b.append(int(rhs))
+        yield A, np.array(b), relations, rng.integers(-5, 6, size=n), upper
+
+
+def _highs_max(A, b, relations, c, lower, upper, integral):
+    """HiGHS's optimum of max c'x over every row, or of its LP relaxation."""
+    lb = np.where([r == "<=" for r in relations], -INF, b)
+    ub = np.where([r == ">=" for r in relations], INF, b)
+    ref = milp(-np.asarray(c), constraints=LinearConstraint(A, lb, ub),
+               integrality=np.full(len(c), int(integral)), bounds=Bounds(lower, upper))
+    assert ref.status == 0
+    return -ref.fun
+
+
+def test_random_milps_match_highs_and_check_out_on_every_row():
+    dropped = 0
+    for trial, (A, b, relations, c, upper) in enumerate(_random_milps()):
+        model = MilpModel()
+        names = [f"x{j}" for j in range(len(c))]
+        for name, hi in zip(names, upper):
+            model.add_variable(MilpVariable(name, "binary" if hi == 1 else "nonneg_integer",
+                                            0.0, float(hi)))
+        for i, (row, rhs, relation) in enumerate(zip(A, b, relations)):
+            terms = [(int(a), name) for a, name in zip(row, names) if a]
+            model.add_constraint(make_constraint(f"r{i}", terms, relation, int(rhs)))
+        model.set_objective({name: float(cj) for name, cj in zip(names, c)})
+        res = solve_model(model)
+        assert res.status == "optimal", trial
+        optimum = _highs_max(A, b, relations, c, 0, upper, integral=True)
+        assert res.objective == pytest.approx(optimum, abs=1e-6), trial
+        assert import_solution(model, res.assignment) == pytest.approx(res.objective), trial
+        assert res.root_bound >= res.objective - 1e-6, trial
+        dropped += len(relations) - res.lp_rows
+    assert dropped > 20
+
+
+@pytest.mark.parametrize("cheaper", [0, 1])
+def test_columns_whose_costs_differ_by_an_ulp_tie_to_the_lower_index(cheaper):
+    # Two identical columns price out at -1, one of them an ulp lower; from
+    # the slack basis the first one enters, and the second then prices out
+    # at an ulp, within the optimality tolerance.
+    c = np.array([-1.0, -1.0])
+    c[cheaper] = np.nextafter(-1.0, -INF)
+    res = solve_lp([[1.0, 1.0]], [1.0], ["<="], c, np.zeros(2), [INF, INF])
+    assert res.status == "optimal" and list(res.x) == [1.0, 0.0]
+    # The same through branch and bound, maximizing.
+    model = MilpModel()
+    for name in ("a", "b"):
+        model.add_variable(MilpVariable(name, "binary", 0.0, 1.0))
+    model.add_constraint(make_constraint("one", [(1, "a"), (1, "b")], "<=", 1))
+    model.set_objective({"a": -c[0], "b": -c[1]})
+    assert solve_model(model).assignment == {"a": 1, "b": 0}
+
+
+def test_rows_whose_violations_differ_by_an_ulp_tie_to_the_lower_basic_column():
+    # Both rows are violated at the slack start, the second by an ulp more.
+    # The dual phase repairs the first with x0 = 1, which leaves the second
+    # short by an ulp, within the feasibility tolerance; repairing the
+    # second first would give x0 = 1 + ulp.
+    res = solve_lp([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]], [1.0, np.nextafter(1.0, 2.0)],
+                   [">=", ">="], [1.0, 1.0, 1.0], np.zeros(3), [INF, INF, INF])
+    assert res.status == "optimal" and list(res.x) == [1.0, 0.0, 0.0]
+
+
+def test_root_bound_is_the_lp_relaxation_of_every_row():
+    res = solve_model(_knapsack_model())
+    # x1 and x2 fill 9 of the capacity of 10, and a third of x3 the rest.
+    assert res.root_bound == pytest.approx(16.0 + 4.0 / 3.0, abs=1e-9)
+    assert np.isnan(solve_model(_knapsack_model(), SolverConfig(node_limit=0)).root_bound)
+    # On a provisioning model, the root LP of the rows kept has the optimum
+    # of HiGHS over all rows.
+    model = _provisioning_model((("type1", 30),), "SP-B")
+    res = solve_model(model)
+    _, A, b, relations, c, lower, upper, _ = solver_module._to_arrays(model)
+    relaxed = _highs_max(A, b, relations, c, lower, upper, integral=False)
+    assert res.root_bound == pytest.approx(relaxed, rel=1e-9)
+    assert res.root_bound >= res.objective
+
+
+def test_lp_rows_are_the_rows_the_bounds_leave_open(lp_shapes):
+    model = _provisioning_model((("type1", 30),), "SP-B")
+    res = solve_model(model)
+    assert 0 < res.lp_rows < len(model.constraints)
+    # Every LP of the search has the kept rows and every column.
+    assert set(lp_shapes) == {(res.lp_rows, len(model.variables))}
+    # Each row left out holds over the whole box, in exact arithmetic.
+    _, A, b, relations, _, lower, upper, _ = solver_module._to_arrays(model)
+    kept = solver_module._binding_rows(A, b, relations, lower, upper)
+    assert len(kept) == res.lp_rows
+    bounds = {name: (Fraction(var.lower), Fraction(var.upper))
+              for name, var in model.variables.items()}
+    for i, row in enumerate(model.constraints):
+        products = [(Fraction(float(coeff)) * lo, Fraction(float(coeff)) * hi)
+                    for coeff, name in row.terms for lo, hi in [bounds[name]]]
+        least = sum(min(p) for p in products)
+        greatest = sum(max(p) for p in products)
+        rhs = Fraction(float(row.rhs))
+        holds = {"<=": greatest <= rhs, ">=": least >= rhs,
+                 "=": least == greatest == rhs}[row.relation]
+        assert holds == (i not in kept), row.name
 
 
 # ---------------------------------------------------------------------------

@@ -115,10 +115,6 @@ class UserCountPmf:
         if abs(probs.sum() - 1.0) > PMF_TOLERANCE:
             raise ValueError("pmf must sum to 1 within 1e-12")
 
-    @property
-    def max_users(self) -> int:
-        return self.probs.size - 1
-
     def moment(self, order: int) -> float:
         k = np.arange(self.probs.size, dtype=float)
         return float(np.sum(self.probs * k**order))
@@ -200,10 +196,6 @@ class BackgroundModel:
         link_std = {key: std_frac * link.bandwidth for key, link in graph.links.items()}
         return BackgroundModel(node_mean, node_std, link_mean, link_std)
 
-    @staticmethod
-    def zero(graph: InfrastructureGraph) -> "BackgroundModel":
-        return BackgroundModel.from_graph(graph, 0.0, 0.0)
-
 
 def aggregate_moments(spec: SliceSpec):
     """Componentwise mean and variance of the aggregate demand mixture
@@ -237,16 +229,11 @@ def _standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
     return _to_normals(rng.random(shape))
 
 
-def sample_aggregate(
-    spec: SliceSpec,
-    seed,
-    size: int = 1,
-    clamp: bool = True,
-) -> np.ndarray:
+def sample_aggregate(spec: SliceSpec, seed, size: int = 1) -> np.ndarray:
     """Draw aggregate demand vectors: k from the pmf, then Normal(k mu, k^2 Gamma).
 
-    Negative coordinates are clamped to zero (demands are physical); pass
-    ``clamp=False`` for the raw Gaussian draws.  Returns shape (size, dim).
+    Negative coordinates are clamped to zero (demands are physical).  Returns
+    shape (size, dim).
     """
     rng = np.random.default_rng(seed)
     dim = spec.user_model.mean.size
@@ -259,8 +246,7 @@ def sample_aggregate(
     # The k-user component has covariance k^2 Gamma, so its draws scale by k.
     scale = counts.astype(float)
     out = counts[:, None] * spec.user_model.mean[None, :] + scale[:, None] * (z @ root.T)
-    if clamp:
-        np.clip(out, 0.0, None, out=out)
+    np.clip(out, 0.0, None, out=out)
     return out
 
 

@@ -194,36 +194,15 @@ class ScenarioReport:
     plan: ProvisioningPlan | None = None
 
 
+# A report row holds every ScenarioReport field but the wall time (appended
+# on request), the slice reports and the plan; a slice row holds the keys of
+# its report row, then every SliceReport field.
 REPORT_COLUMNS = [
-    "scenario",
-    "variant",
-    "repetition",
-    "seed",
-    "max_impact",
-    "node_usage_pct",
-    "link_usage_pct",
-    "node_capacity_pct",
-    "link_capacity_pct",
-    "max_impact_prob",
-    "provisioning_cost",
-    "total_earnings",
-    "acceptance_rate",
-    "impacted_node_count",
-    "impacted_link_count",
-    "solver_gap",
+    f.name for f in dataclasses.fields(ScenarioReport)
+    if f.name not in ("wall_time", "slices", "plan")
 ]
-SLICE_COLUMNS = [
-    "scenario",
-    "variant",
-    "repetition",
-    "slice_id",
-    "accepted",
-    "gamma",
-    "cost",
-    "psp_qmc",
-    "psp_qmc_error",
-    "psp_mc",
-    "psp_mc_error",
+SLICE_COLUMNS = ["scenario", "variant", "repetition"] + [
+    f.name for f in dataclasses.fields(SliceReport)
 ]
 
 
@@ -419,28 +398,14 @@ def emit_report(reports, stream=None, include_timing: bool = False,
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(columns)
     for report in reports:
-        row = [getattr(report, name) for name in REPORT_COLUMNS]
-        if include_timing:
-            row.append(report.wall_time)
+        row = [getattr(report, name) for name in columns]
         writer.writerow([_format_cell(v) for v in row])
     if slice_stream is not None:
         slice_writer = csv.writer(slice_stream, lineterminator="\n")
         slice_writer.writerow(SLICE_COLUMNS)
         for report in reports:
             for slice_report in report.slices:
-                slice_writer.writerow(
-                    [_format_cell(v) for v in (
-                        report.scenario,
-                        report.variant,
-                        report.repetition,
-                        slice_report.slice_id,
-                        slice_report.accepted,
-                        slice_report.gamma,
-                        slice_report.cost,
-                        slice_report.psp_qmc,
-                        slice_report.psp_qmc_error,
-                        slice_report.psp_mc,
-                        slice_report.psp_mc_error,
-                    )]
-                )
+                row = [getattr(report, name) for name in SLICE_COLUMNS[:3]]
+                row += [getattr(slice_report, name) for name in SLICE_COLUMNS[3:]]
+                slice_writer.writerow([_format_cell(v) for v in row])
     return stream.getvalue() if own else ""

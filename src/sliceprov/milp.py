@@ -214,14 +214,20 @@ def flow_constraints(spec: SliceSpec, graph: InfrastructureGraph) -> list:
     outflow of vw equals the hosted share of v minus the hosted share of w,
     with exact rational bandwidth ratios (ratio 1 for chains).
 
-    Loopback variables appear on both sides and cancel, so co-located
-    endpoints balance without external flow.
+    A loopback link leaves and enters its node, so its variable cancels and
+    co-located endpoints balance without external flow.
     """
     out_sum = {}
     in_sum = {}
     for vlink in spec.sfc.vlinks:
         out_sum[vlink.src] = out_sum.get(vlink.src, Fraction(0)) + Fraction(vlink.bandwidth)
         in_sum[vlink.dst] = in_sum.get(vlink.dst, Fraction(0)) + Fraction(vlink.bandwidth)
+    # Each node's leaving (+1) and entering (-1) links, in link order.
+    incident = {}
+    for link in graph.links.values():
+        if not link.is_loopback:
+            incident.setdefault(link.src, []).append((Fraction(1), link.src, link.dst))
+            incident.setdefault(link.dst, []).append((Fraction(-1), link.src, link.dst))
     rows = []
     for vlink in spec.sfc.vlinks:
         v, w = vlink.src, vlink.dst
@@ -229,20 +235,15 @@ def flow_constraints(spec: SliceSpec, graph: InfrastructureGraph) -> list:
         ratio_out = r_b / out_sum[v] if out_sum.get(v) else None
         ratio_in = r_b / in_sum[w] if in_sum.get(w) else None
         for node_id in graph.nodes:
-            terms = {}
-
-            def bump(name, coeff, terms=terms):
-                terms[name] = terms.get(name, Fraction(0)) + coeff
-
-            for (src, dst) in graph.links:
-                if src == node_id:
-                    bump(link_var(spec.id, src, dst, v, w), Fraction(1))
-                if dst == node_id:
-                    bump(link_var(spec.id, src, dst, v, w), Fraction(-1))
+            terms = {
+                link_var(spec.id, src, dst, v, w): sign
+                for sign, src, dst in incident.get(node_id, ())
+            }
             if ratio_out is not None:
-                bump(node_var(spec.id, node_id, v), -ratio_out)
+                terms[node_var(spec.id, node_id, v)] = -ratio_out
             if ratio_in is not None:
-                bump(node_var(spec.id, node_id, w), ratio_in)
+                name = node_var(spec.id, node_id, w)
+                terms[name] = terms.get(name, Fraction(0)) + ratio_in
             terms = {k: c for k, c in terms.items() if c != 0}
             if not terms:
                 continue

@@ -258,14 +258,16 @@ def provision(
     result = ProvisioningPlan(variant=variant.name, slices=_calibrated(slices, variant))
     reserves = _reserves(variant, background)
     if variant.mode == "joint":
-        _provision_joint(result, graph, variant, reserves)
-        return result
-    for spec, model, res in _sequential_steps(result.slices, graph, variant, reserves):
-        result.warnings.extend(model.warnings)
-        result.solver_status[spec.id] = res.status
-        result.node_count += res.node_count
-        result.wall_time += res.wall_time
-        result.gap = max(result.gap, res.gap if res.assignment else 0.0)
+        solves = _provision_joint(result, graph, variant, reserves)
+    else:
+        solves = []
+        for spec, model, res in _sequential_steps(result.slices, graph, variant, reserves):
+            result.warnings.extend(model.warnings)
+            result.solver_status[spec.id] = res.status
+            result.gap = max(result.gap, res.gap if res.assignment else 0.0)
+            solves.append(res)
+    result.node_count = sum(res.node_count for res in solves)
+    result.wall_time = sum(res.wall_time for res in solves)
     return result
 
 
@@ -334,6 +336,8 @@ def _sequential_steps(plans, graph, variant, reserves, standalone=None):
 
 
 def _provision_joint(result, graph, variant, reserves):
+    """Fill ``result`` from the joint MILP; returns every solve made, in
+    order."""
     plans = result.slices
     specs = [plan.spec for plan in plans.values()]
     # Stand-alone solves give each slice a proven cost floor: income minus
@@ -346,8 +350,6 @@ def _provision_joint(result, graph, variant, reserves):
         single = milp.build_sequential_step(spec, graph, plans[spec.id].box, *reserves)
         res = solve_model(single, variant.solver)
         standalone[spec.id] = (single, res)
-        result.node_count += res.node_count
-        result.wall_time += res.wall_time
         if res.assignment:
             best_bound = res.objective + res.gap * max(1.0, abs(res.objective))
             floor = spec.income - best_bound
@@ -368,15 +370,16 @@ def _provision_joint(result, graph, variant, reserves):
         sid: SlicePlan(spec=plan.spec, gamma=plan.gamma, box=plan.box)
         for sid, plan in plans.items()
     }
-    for _ in _sequential_steps(warm, graph, variant, reserves, standalone):
-        pass
+    solves = [res for _, res in standalone.values()]
+    for spec, _, res in _sequential_steps(warm, graph, variant, reserves, standalone):
+        if res is not standalone[spec.id][1]:
+            solves.append(res)
     res = solve_model(model, variant.solver, warm_start=_assignment_from_plans(warm))
     result.solver_status["joint"] = res.status
-    result.node_count += res.node_count
-    result.wall_time += res.wall_time
     result.gap = res.gap if res.assignment else 0.0
     if res.assignment:
         _extract(model, res.assignment, plans, graph)
+    return solves + [res]
 
 
 def _assignment_from_plans(plans) -> dict:

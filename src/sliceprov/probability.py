@@ -1,6 +1,7 @@
-"""Normal CDF machinery, box probabilities for the compound demand mixture
-(exact for independent components, quasi-Monte Carlo for correlated ones),
-robustness-margin calibration, and post-hoc plan evaluation."""
+"""Box probabilities for the compound demand mixture (exact products of
+normal CDFs for independent components, quasi-Monte Carlo for correlated
+ones), robustness-margin calibration, background reserves, and post-hoc plan
+evaluation."""
 
 from __future__ import annotations
 
@@ -60,17 +61,6 @@ class QmcConfig:
             raise ValueError("samples must be >= 1024")
         if self.randomizations < 2:
             raise ValueError("randomizations must be >= 2")
-
-
-def std_normal_cdf(x: float):
-    return ndtr(x)
-
-
-def std_normal_inv_cdf(p: float):
-    p_arr = np.asarray(p, dtype=float)
-    if np.any(p_arr <= 0.0) or np.any(p_arr >= 1.0):
-        raise ValueError("inverse normal CDF requires p strictly in (0, 1)")
-    return ndtri(p)
 
 
 def _split_deterministic(cov: np.ndarray):
@@ -363,7 +353,10 @@ def find_gamma_s(spec: SliceSpec, cfg: QmcConfig, stat_mode: str = "per_user") -
     The bracket search doubles the upper end from 1 (cap 2^20).  Bisection runs
     on a reduced-cost QMC configuration and the root is re-verified (and nudged
     if needed) at the full configuration; sample counts are increased when the
-    bracket stalls inside the QMC noise band.
+    bracket stalls inside the QMC noise band.  When every value was exact (no
+    error), the upper end is returned as it is: the full configuration would
+    repeat its value, and one tolerance below it lies at or below the lower
+    end, which falls short.
     """
     target = spec.required_psp
     coarse = replace(
@@ -414,6 +407,8 @@ def find_gamma_s(spec: SliceSpec, cfg: QmcConfig, stat_mode: str = "per_user") -
         else:
             lo = mid
 
+    if not any(err for _, err in cache.values()):
+        return hi
     gamma = hi
     # Confirm at the full configuration; walk in tolerance steps if the coarse
     # root sits marginally on the wrong side.

@@ -118,19 +118,6 @@ def _feasible(A, b, relations, x, tol=1e-6):
     return True
 
 
-def _round_heuristic(A, b, relations, c, lower, upper, x):
-    """Round the relaxation point up to integers and test feasibility."""
-    cand = np.ceil(x - _INT_TOL)
-    cand = np.clip(cand, lower, upper)
-    if _feasible(A, b, relations, cand):
-        return cand
-    cand = np.round(x)
-    cand = np.clip(cand, lower, upper)
-    if _feasible(A, b, relations, cand):
-        return cand
-    return None
-
-
 def solve_model(model: MilpModel, config: SolverConfig | None = None,
                 warm_start: dict | None = None) -> SolveResult:
     """Maximize the model objective over integer assignments.
@@ -219,11 +206,6 @@ def solve_model(model: MilpModel, config: SolverConfig | None = None,
             if obj > incumbent_obj:
                 incumbent, incumbent_obj = x_int, obj
             continue
-        rounded = _round_heuristic(A, b, relations, c, lo, hi, x)
-        if rounded is not None:
-            obj = float(c @ rounded)
-            if obj > incumbent_obj:
-                incumbent, incumbent_obj = rounded, obj
         # Branch on fixed-charge / acceptance binaries before instance
         # counts: they decide the combinatorial structure, and weighting by
         # the objective coefficient targets the binary whose fractional

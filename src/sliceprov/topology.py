@@ -81,15 +81,6 @@ class InfrastructureGraph:
             raise ValueError(f"duplicate link {key}")
         self.links[key] = link
 
-    def node_ids(self) -> list:
-        return list(self.nodes)
-
-    def link_keys(self) -> list:
-        return list(self.links)
-
-    def out_links(self, node_id: str) -> list:
-        return [k for k in self.links if k[0] == node_id]
-
 
 def validate(graph: InfrastructureGraph) -> list:
     """Return a list of human-readable invariant violations (empty when well formed)."""

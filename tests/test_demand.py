@@ -44,8 +44,8 @@ def test_catalog_structure():
     assert type3.sfc.dimension == 19
     assert [v.name for v in type1.sfc.vnfs] == ["vVOC", "vGW", "vBBU"]
     assert [v.name for v in type3.sfc.vnfs] == ["vBBU", "vGW", "vTM", "vVOC", "vIDPS"]
-    assert type1.user_count.max_users == 300
-    assert type2.user_count.max_users == 1000
+    assert type1.user_count.probs.size == 301
+    assert type2.user_count.probs.size == 1001
     assert type3.user_count.probs[50] == 1.0
 
 
@@ -133,10 +133,13 @@ def test_sample_aggregate_reproducible_and_consistent():
 
 
 def test_sample_aggregate_mixture_count_scaling():
-    # With a deterministic count, draws are Normal(k mu, k^2 Gamma).
-    spec = micro_spec(users=4, mean_c=1.0, std_c=0.5)
-    draws = sample_aggregate(spec, seed=3, size=100_000, clamp=False)
-    assert draws[:, 0].mean() == pytest.approx(4.0, abs=0.02)
+    # With a deterministic count, draws are Normal(k mu, k^2 Gamma).  The
+    # mean sits 20 standard deviations above zero, more than Z_MAX, so no
+    # draw is clamped.
+    spec = micro_spec(users=4, mean_c=10.0, std_c=0.5)
+    draws = sample_aggregate(spec, seed=3, size=100_000)
+    assert draws[:, 0].min() > 0.0
+    assert draws[:, 0].mean() == pytest.approx(40.0, abs=0.02)
     assert draws[:, 0].std() == pytest.approx(4 * 0.5, abs=0.02)
     # Components with zero variance and zero mean stay exactly zero.
     assert np.all(draws[:, 1:] == 0.0)
@@ -148,7 +151,7 @@ def test_background_model_from_graph():
     assert model.node_mean["central"].compute == pytest.approx(0.2 * 16.0)
     assert model.node_std["rrh-0-0-0"].wireless == pytest.approx(0.05 * 2.0)
     assert model.link_mean[("central", "regional-0")] == pytest.approx(2.0)
-    zero = BackgroundModel.zero(graph)
+    zero = BackgroundModel.from_graph(graph, mean_frac=0.0, std_frac=0.0)
     assert all(max(rv.as_tuple()) == 0.0 for rv in zero.node_mean.values())
 
 

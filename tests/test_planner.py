@@ -175,6 +175,29 @@ def test_joint_path_reuses_the_first_stand_alone_solve(monkeypatch):
     assert len(solved[3]) == len(solved[0]) + len(solved[1])
 
 
+def test_joint_plan_totals_count_every_solve(monkeypatch):
+    results = []
+    solve_model = planner.solve_model
+
+    def recording_solve_model(*args, **kwargs):
+        results.append(solve_model(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(planner, "solve_model", recording_solve_model)
+    graph = default_graph()
+    background = BackgroundModel.from_graph(graph, 0.2, 0.05)
+    slices = [
+        micro_spec(slice_id="s1", income=400.0),
+        micro_spec(slice_id="s2", income=300.0),
+    ]
+    plan = provision(slices, graph, fast_variant("JP-B"), background=background)
+    # Two stand-alone solves, the warm-start solve of s2 and the joint solve,
+    # each counted once; the warm-start pass reuses the solve of s1.
+    assert len(results) == 4
+    assert plan.node_count == sum(res.node_count for res in results)
+    assert plan.wall_time == sum(res.wall_time for res in results)
+
+
 def test_plan_aggregates_provisioned_amounts():
     graph = default_graph()
     spec = chain_spec(income=500.0)

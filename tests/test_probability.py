@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import time
 from types import SimpleNamespace
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from sliceprov import probability
 from sliceprov.demand import (
     BackgroundModel,
     SfcGraph,
@@ -27,8 +29,6 @@ from sliceprov.probability import (
     plan_impact_probabilities,
     plan_psp,
     psp_of_box,
-    std_normal_cdf,
-    std_normal_inv_cdf,
     targets_for_gamma,
 )
 from sliceprov.topology import ResourceVector, build_fat_tree
@@ -42,19 +42,6 @@ CAPS = {
     "rrh": ResourceVector(1.0, 2.0, 2.0),
 }
 BWS = {"central-regional": 10.0, "regional-edge": 5.0, "edge-rrh": 2.5}
-
-
-def test_normal_cdf_reference_values():
-    assert std_normal_cdf(0.0) == pytest.approx(0.5, abs=1e-12)
-    assert std_normal_inv_cdf(0.9) == pytest.approx(1.281552, abs=1e-5)
-    assert std_normal_inv_cdf(0.975) == pytest.approx(1.959964, abs=1e-5)
-    assert std_normal_inv_cdf(0.99) == pytest.approx(2.326348, abs=1e-5)
-    for p in (0.1, 0.42, 0.77, 0.999):
-        assert std_normal_cdf(std_normal_inv_cdf(p)) == pytest.approx(p, abs=1e-12)
-    with pytest.raises(ValueError):
-        std_normal_inv_cdf(0.0)
-    with pytest.raises(ValueError):
-        std_normal_inv_cdf(1.0)
 
 
 def test_gamma_b_closed_form():
@@ -184,7 +171,7 @@ def test_plan_impact_probabilities_known_values():
 
 def test_plan_impact_probabilities_deterministic_background():
     graph = build_fat_tree(2, CAPS, bandwidths=BWS)
-    zero = BackgroundModel.zero(graph)
+    zero = BackgroundModel.from_graph(graph, mean_frac=0.0, std_frac=0.0)
     plan = SimpleNamespace(provisioned_node={("central", "c"): 17.0}, provisioned_link={})
     node_probs, _ = plan_impact_probabilities(plan, graph, zero)
     assert node_probs[("central", "c")] == 1.0  # exceeds capacity outright
@@ -274,11 +261,23 @@ def test_independent_components_are_exact(spec, cfg):
 
 
 @pytest.mark.parametrize("spec", INDEPENDENT_SPECS, ids=lambda spec: spec.id)
-def test_exact_path_calibrates_the_reference_margin(spec):
+def test_exact_path_calibrates_the_reference_margin(spec, monkeypatch):
+    calls = []
+
+    def counting_psp_of_box(*args):
+        calls.append(args)
+        return psp_of_box(*args)
+
+    monkeypatch.setattr(probability, "psp_of_box", counting_psp_of_box)
     # Per-user boxes cannot reach the PSP here: they fit the deterministic
     # component of one user only.
     gamma = find_gamma_s(spec, FAST_QMC, stat_mode="aggregate")
     assert gamma > 0.0
+    # Exact values need no confirmation: one evaluation at 0, one per
+    # doubling from 1 to the bracket's upper end, and one per bisection step.
+    doublings = max(0, math.ceil(math.log2(gamma)))
+    width = max(1.0, 2.0 ** doublings / 2.0)
+    assert len(calls) == 2 + doublings + math.ceil(math.log2(width / 1e-3))
     assert gamma == serial(find_gamma_s, spec, FAST_QMC, "aggregate")
 
 

@@ -26,3 +26,11 @@ def test_replay_prints_one_digest_line_per_seed():
     records = [line for line in detailed.stdout.splitlines() if line.startswith("(")]
     assert len(records) == 2
     assert [line for line in detailed.stdout.splitlines() if line not in records] == lines
+
+
+def test_replay_pins_the_search_of_seed_1():
+    run = _replay("--seeds", "1", "--workloads", "sequential,joint")
+    lines = run.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["sequential seed 1", "joint seed 1"]
+    assert "requests 5, solves 5, nodes 64, lps 64, iterations 871, digest " in lines[0]
+    assert "requests 4, solves 16, nodes 60, lps 60, iterations 1968, digest " in lines[1]

@@ -97,11 +97,3 @@ def test_duplicate_nodes_and_links_rejected():
     graph.add_link(InfraLink("a", "a", 1.0))
     with pytest.raises(ValueError):
         graph.add_link(InfraLink("a", "a", 1.0))
-
-
-def test_out_links():
-    graph = build_fat_tree(2, CAPS, bandwidths=BWS)
-    outs = graph.out_links("central")
-    assert ("central", "regional-0") in outs
-    assert ("central", "central") in outs
-    assert len(outs) == 3

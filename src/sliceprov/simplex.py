@@ -3,13 +3,13 @@
 Solves  minimize c'x  subject to  A x (<=, =, >=) b,  l <= x <= u.
 
 The implementation keeps an explicit tableau (basis-inverse times the
-constraint matrix) plus the vector of current basic values, and supports the
-standard bounded-variable mechanics: entering variables may move up from
-their lower bound or down from their upper bound, and a ratio test can end in
-a bound flip instead of a basis exchange.  Dantzig pricing is used until a
-run of degenerate pivots (ten per column), after which Bland's rule
-guarantees termination.  The pivot tolerance (1e-9) and the primal
-feasibility tolerance (1e-7) are module constants.
+constraint matrix), the row of reduced costs and the vector of current basic
+values, and supports the standard bounded-variable mechanics: entering
+variables may move up from their lower bound or down from their upper bound,
+and a ratio test can end in a bound flip instead of a basis exchange.
+Dantzig pricing is used until a run of degenerate pivots (ten per column),
+after which Bland's rule guarantees termination.  The pivot tolerance (1e-9)
+and the primal feasibility tolerance (1e-7) are module constants.
 
 Each choice by largest score (the entering column, the largest pivot among
 the rows that limit the step, the most violated row and the dual entering
@@ -19,29 +19,32 @@ row the one with the lowest basic column.  Scores that are equal in exact
 arithmetic differ by round-off, which depends on the BLAS and its thread
 count; with the rule, the choice among them does not.
 
-Every solve builds its tableau from a basis over ``[A | slacks]`` and runs
-the same two phases through one pivot loop.  A bounded-variable dual simplex
-first drives the basic values into their bounds: a row that no nonbasic
-column can repair proves the LP infeasible.  A primal phase 2 then reaches
-optimality, or finds a ray along which the LP is unbounded.  Given the
-optimal :class:`Basis` of an LP that differs only in its variable bounds (a
-branch-and-bound parent), the dual phase starts from that basis, which stays
-dual feasible, and phase 2 only removes what round-off left.  Without one
-(or when it is singular) the start is the slack basis with every structural
-at its lower bound, which is dual feasible once the costs are clipped at
-zero; phase 2 then brings back the negative costs.
+Every solve runs the same two phases through one pivot loop.  A
+bounded-variable dual simplex first drives the basic values into their
+bounds: a row that no nonbasic column can repair proves the LP infeasible.
+A primal phase 2 then reaches optimality, or finds a ray along which the LP
+is unbounded.  Each phase prices the reduced costs once, at its start, and
+every pivot then updates them with the pivot row, as it updates the tableau.
 
-Each basis is inverted at most once in a row.  The slack basis needs no
-inversion: its matrix is a diagonal of +-1, its own inverse.  The inverse of
-any other basis and its tableau are kept for the next solve, until another
-basis is inverted; a solve from the same basis of the same columns (the
-second child of a branch-and-bound node) starts from a copy of them, which
-holds the numbers a new inversion would give.
+An LP starts in one of three ways:
+
+- continued: given the :class:`Basis` of an optimal solve of the same rows
+  and objective under other bounds (a branch-and-bound parent) that still
+  carries its final tableau, the solve copies that tableau and the basic
+  values, and the dual phase starts at once.  The basis stays dual
+  feasible.  The basic values move only where a nonbasic bound moved, and
+  nothing is inverted;
+- inverted: given a basis without its tableau, the basis matrix over
+  ``[A | slacks]`` is inverted once with LAPACK and the tableau rebuilt;
+- cold: without a basis (or when it is singular) the start is the slack
+  basis with every structural at its lower bound.  Its matrix is a diagonal
+  of +-1, its own inverse, and it is dual feasible once the costs are
+  clipped at zero; phase 2 then brings back the negative costs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,8 +58,8 @@ _PIVOT_TOL = 1e-9
 # Largest bound violation of a basic value accepted as feasible.
 _FEAS_TOL = 1e-7
 
-# Largest deviation of B^-1 B from the identity accepted for a warm-start
-# basis; a worse factorization falls back to the slack basis.
+# Largest deviation of B^-1 B from the identity accepted for an inverted
+# basis; a worse one falls back to the slack basis.
 _FACTOR_TOL = 1e-9
 # Relative distance from the largest score within which two candidates tie.
 _TIE_TOL = 1e-9
@@ -72,16 +75,33 @@ def near_max(values):
 
 
 @dataclass(frozen=True)
+class FinalTableau:
+    """The tableau ``B^-1 [A | slacks]`` an optimal solve ended with, and its
+    solution ``x`` over every column.  Never written to: a solve that
+    continues from it pivots on a copy."""
+
+    T: np.ndarray
+    x: np.ndarray
+
+    @property
+    def nbytes(self):
+        return self.T.nbytes + self.x.nbytes
+
+
+@dataclass(frozen=True)
 class Basis:
     """A simplex basis over the columns ``[A | slacks]``.
 
     ``basic[i]`` is the column basic in row i; ``status`` holds AT_LOWER,
     AT_UPPER or BASIC for every column (n structural, then one slack per
-    row).
+    row).  ``tableau`` is the final tableau of the optimal solve that ended
+    in this basis, or None (a basis given by hand, or one whose tableau was
+    dropped).
     """
 
     basic: np.ndarray
     status: np.ndarray
+    tableau: FinalTableau | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -90,54 +110,9 @@ class LpResult:
     objective: float = np.nan
     x: np.ndarray | None = None  # structural variables only
     iterations: int = 0
-    basis: Basis | None = None  # final basis of an optimal solve
+    basis: Basis | None = None  # final basis of an optimal solve, with its tableau
     factorizations: int = 0  # basis inversions made by this solve (0 or 1)
-
-
-@dataclass(frozen=True)
-class _Factor:
-    """The inverse of the basis matrix ``A[:, basic]`` and the tableau
-    ``inv @ A`` with its basic columns set to the identity.  Never written
-    to: a tableau pivots on a copy."""
-
-    A: np.ndarray  # the columns [A | slacks] it was computed from
-    basic: np.ndarray
-    inv: np.ndarray
-    T: np.ndarray
-
-
-# The factorization of the basis inverted last, or None.  It is replaced
-# whole, so a solve on another thread can only miss it, never see half of it.
-_last_factor = None
-
-
-def _factor(A, basic):
-    """The :class:`_Factor` of ``basic`` over the columns ``A`` (None when the
-    basis matrix is singular or too ill-conditioned), and whether it took a
-    new inversion.  The last one is reused when its ``A`` and ``basic`` equal
-    these.  ``A`` holds the slack signs, so other row relations miss it,
-    except "=" against "<=", which differ only in the slack's bounds."""
-    global _last_factor
-    last = _last_factor
-    if (
-        last is not None
-        and np.array_equal(last.basic, basic)
-        and np.array_equal(last.A, A)
-    ):
-        return last, False
-    try:
-        inv = np.linalg.inv(A[:, basic])
-    except np.linalg.LinAlgError:
-        return None, True
-    T = inv @ A
-    identity = np.eye(len(basic))
-    if not np.all(np.isfinite(T)) or (
-        len(basic) and np.abs(T[:, basic] - identity).max() > _FACTOR_TOL
-    ):
-        return None, True
-    T[:, basic] = identity
-    _last_factor = _Factor(A, basic.copy(), inv, T)
-    return _last_factor, True
+    start: str = "cold"  # "cold" | "continued" | "inverted"
 
 
 class _Tableau:
@@ -149,31 +124,54 @@ class _Tableau:
         self.xB = xB
         self.lower = lower
         self.upper = upper
+        self.rc = None  # reduced costs of the phase's costs, set by price()
         self.degenerate_limit = 10 * T.shape[1]
         self.iteration_limit = 2000 * (self.m + T.shape[1])
         self.iterations = 0
 
     @classmethod
-    def from_factor(cls, factor, b, status, lower, upper):
-        """Tableau of the factorized basis with the nonbasic ``status`` of a
-        :class:`Basis`, and basic values recomputed from ``lower``/``upper``."""
+    def continued(cls, final, basic, status, lower, upper):
+        """Copy of a final tableau under the bounds ``lower``/``upper``.  The
+        basic values move only by the change of the nonbasic values."""
+        tab = cls(final.T.copy(), basic, np.array(status, dtype=np.int8), None, lower, upper)
+        delta = tab.nonbasic_values() - final.x
+        delta[tab.basis] = 0.0
+        moved = np.flatnonzero(delta)
+        tab.xB = final.x[tab.basis] - tab.T[:, moved] @ delta[moved]
+        return tab
+
+    @classmethod
+    def inverted(cls, A, b, basic, status, lower, upper):
+        """Tableau of ``basic`` over the columns ``A`` by one inversion of
+        its basis matrix, with the nonbasic ``status`` of a :class:`Basis`.
+        None when the basis matrix is singular or too ill-conditioned."""
+        try:
+            inv = np.linalg.inv(A[:, basic])
+        except np.linalg.LinAlgError:
+            return None
+        T = inv @ A
+        identity = np.eye(len(basic))
+        if not np.all(np.isfinite(T)) or (
+            len(basic) and np.abs(T[:, basic] - identity).max() > _FACTOR_TOL
+        ):
+            return None
+        T[:, basic] = identity
         status = np.array(status, dtype=np.int8)
-        status[factor.basic] = BASIC
-        tab = cls(factor.T.copy(), factor.basic.copy(), status, None, lower, upper)
-        tab.xB = factor.inv @ (b - factor.A @ tab.nonbasic_values())
+        status[basic] = BASIC
+        tab = cls(T, basic, status, None, lower, upper)
+        tab.xB = inv @ (b - A @ tab.nonbasic_values())
         return tab
 
     @classmethod
     def slack(cls, A, b, sign, lower, upper):
-        """Tableau of the slack basis, every structural at its lower bound.
-        The basis matrix is ``diag(sign)``, its own inverse."""
-        m, n_full = A.shape
-        n = n_full - m
-        T = A * sign[:, None]
-        T[:, n:] = np.eye(m)
+        """Tableau of the slack basis of the structural columns ``A``, every
+        structural at its lower bound.  The basis matrix is ``diag(sign)``,
+        its own inverse."""
+        m, n = A.shape
+        T = np.hstack([A * sign[:, None], np.eye(m)])
         status = np.repeat(np.int8([AT_LOWER, BASIC]), [n, m])
-        tab = cls(T, np.arange(n, n_full), status, None, lower, upper)
-        tab.xB = sign * (b - A @ tab.nonbasic_values())
+        tab = cls(T, np.arange(n, n + m), status, None, lower, upper)
+        tab.xB = sign * (b - A @ tab.nonbasic_values()[:n])
         return tab
 
     def nonbasic_values(self):
@@ -187,14 +185,15 @@ class _Tableau:
         x[self.basis] = self.xB
         return x
 
-    def _price(self, c):
-        y = c[self.basis] @ self.T
-        rc = c - y
-        rc[self.basis] = 0.0
-        return rc
+    def price(self, c):
+        """Reduced costs of ``c`` for the current basis; every pivot keeps
+        them up to date."""
+        self.rc = c - c[self.basis] @ self.T
+        self.rc[self.basis] = 0.0
 
-    def _choose_entering(self, rc, bland):
+    def _choose_entering(self, bland):
         tol = 1e-9
+        rc = self.rc
         movable = self.upper - self.lower > 0
         down = (self.status == AT_UPPER) & (rc > tol) & movable
         up = (self.status == AT_LOWER) & (rc < -tol) & movable
@@ -242,16 +241,18 @@ class _Tableau:
         # Tableau columns stay sparse: update only the rows the pivot touches.
         rows = np.flatnonzero(col)
         self.T[rows] -= col[rows, None] * self.T[row]
+        # T[row, j] is exactly 1, so rc[j] becomes exactly 0.
+        self.rc -= self.rc[j] * self.T[row]
         self.basis[row] = j
         self.status[j] = BASIC
         self.xB[row] = entering_value
 
-    def primal_step(self, c, bland):
-        """One primal simplex iteration: price, then pivot or flip the
-        entering column.  Every pricing counts as an iteration."""
+    def primal_step(self, bland):
+        """One primal simplex iteration: choose the entering column by its
+        reduced cost, then pivot or flip it.  Every choice counts as an
+        iteration."""
         self.iterations += 1
-        rc = self._price(c)
-        j, direction = self._choose_entering(rc, bland)
+        j, direction = self._choose_entering(bland)
         if j is None:
             return "optimal"
         t, row, d = self._ratio_test(j, direction, bland)
@@ -273,7 +274,7 @@ class _Tableau:
         self._pivot(row, j, entering_value)
         return "pivot" if t > _PIVOT_TOL else "degenerate"
 
-    def dual_step(self, c, bland):
+    def dual_step(self, bland):
         """One dual simplex pivot: the most violated basic leaves at the bound
         it violates, and the entering column is the one whose reduced cost
         reaches zero first along that row (dual ratio test).  Only a pivot
@@ -303,9 +304,8 @@ class _Tableau:
         if eligible.size == 0:
             return "infeasible"
         self.iterations += 1
-        rc = c[eligible] - c[self.basis] @ self.T[:, eligible]
         # Dual feasibility makes rc * direction >= 0; clip round-off.
-        ratios = np.maximum(rc * direction[eligible], 0.0) / push[eligible]
+        ratios = np.maximum(self.rc[eligible] * direction[eligible], 0.0) / push[eligible]
         t = ratios.min()
         close = eligible[ratios <= t + 1e-12]
         if not bland:
@@ -322,13 +322,15 @@ class _Tableau:
         return "pivot" if t > _PIVOT_TOL else "degenerate"
 
     def run(self, step, c):
-        """Take ``step(c, bland)`` until it returns an outcome other than a
-        pivot, a flip or a degenerate step, and return that outcome.  Bland's
-        rule takes over for good after a run of degenerate steps."""
+        """Price ``c``, then take ``step(bland)`` until it returns an outcome
+        other than a pivot, a flip or a degenerate step, and return that
+        outcome.  Bland's rule takes over for good after a run of degenerate
+        steps."""
+        self.price(c)
         degenerate_run = 0
         bland = False
         while self.iterations < self.iteration_limit:
-            outcome = step(c, bland)
+            outcome = step(bland)
             if outcome == "degenerate":
                 degenerate_run += 1
                 bland = bland or degenerate_run >= self.degenerate_limit
@@ -353,11 +355,13 @@ def solve_lp(
     ``relations`` is a sequence of "<=", "=", ">=" per row.  Rows are
     normalized to equalities by adding slack columns with the appropriate
     bounds.  Lower bounds must be finite.  ``basis`` may give the
-    :class:`Basis` of an optimal solve of the same rows and objective under
-    other bounds; the LP is then re-solved by the dual simplex from that
-    basis.  Without one, or when it is singular, the solve starts from the
-    slack basis with every structural at its lower bound.  An optimal result
-    carries its final basis.
+    :class:`Basis` of an optimal solve of the same ``A``, ``b``,
+    ``relations`` and ``c`` under other bounds; the LP is then re-solved by
+    the dual simplex from that basis, continuing from its final tableau when
+    it still carries one and inverting its basis matrix when not.  Without
+    one, or when it is singular, the solve starts from the slack basis with
+    every structural at its lower bound.  An optimal result carries its
+    final basis and tableau; ``start`` says how the solve began.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -380,7 +384,6 @@ def solve_lp(
             slack_upper[i] = 0.0
         elif rel != "<=":
             raise ValueError(f"unknown relation {rel!r}")
-    A_full = np.hstack([A, np.diag(slack_sign)])
     lower_full = np.concatenate([lower, np.zeros(m)])
     upper_full = np.concatenate([upper, slack_upper])
     n_full = n + m
@@ -390,33 +393,40 @@ def solve_lp(
     factorizations = 0
     dual_costs = c_full
     if basis is not None:
-        basic = np.array(basis.basic)
+        basic = np.array(basis.basic)  # a copy: the tableau pivots on it
         if basic.shape != (m,) or np.shape(basis.status) != (n_full,):
             raise ValueError("starting basis does not match the LP dimensions")
-        factor, fresh = _factor(A_full, basic)
-        factorizations = int(fresh)
-        if factor is not None:
-            tab = _Tableau.from_factor(factor, b, basis.status, lower_full, upper_full)
+        if basis.tableau is not None:
+            if basis.tableau.T.shape != (m, n_full):
+                raise ValueError("starting tableau does not match the LP dimensions")
+            tab = _Tableau.continued(basis.tableau, basic, basis.status,
+                                     lower_full, upper_full)
+            start = "continued"
+        else:
+            factorizations = 1
+            tab = _Tableau.inverted(np.hstack([A, np.diag(slack_sign)]), b, basic,
+                                    basis.status, lower_full, upper_full)
+            start = "inverted"
     if tab is None:
         # Every structural at its lower bound: dual feasible for the costs
         # clipped at zero.
-        tab = _Tableau.slack(A_full, b, slack_sign, lower_full, upper_full)
+        tab = _Tableau.slack(A, b, slack_sign, lower_full, upper_full)
         dual_costs = np.maximum(c_full, 0.0)
+        start = "cold"
     if tab.run(tab.dual_step, dual_costs) == "infeasible":
-        return LpResult(status="infeasible", iterations=tab.iterations,
-                        factorizations=factorizations)
-
-    if tab.run(tab.primal_step, c_full) == "unbounded":
-        return LpResult(status="unbounded", iterations=tab.iterations,
-                        factorizations=factorizations)
+        outcome = "infeasible"
+    else:
+        outcome = tab.run(tab.primal_step, c_full)  # "optimal" or "unbounded"
+    counts = dict(iterations=tab.iterations, factorizations=factorizations, start=start)
+    if outcome != "optimal":
+        return LpResult(status=outcome, **counts)
     x = tab.solution()
     return LpResult(
         status="optimal",
         objective=float(c @ x[:n]),
         x=x[:n].copy(),
-        iterations=tab.iterations,
-        basis=Basis(basic=tab.basis.copy(), status=tab.status.copy()),
-        factorizations=factorizations,
+        basis=Basis(basic=tab.basis, status=tab.status, tableau=FinalTableau(tab.T, x)),
+        **counts,
     )
 
 

@@ -3,25 +3,33 @@
 The LP relaxations are handled by the bounded-variable simplex in
 ``simplex``; integrality is enforced by best-first branch and bound with
 most-fractional branching, near-equal scores tied to the lowest column.
-Each node solves one LP, by the same simplex path: the root from the slack
-basis, and every child, which differs from its parent in one variable bound,
-from the parent's optimal basis (a pair of small integer arrays kept on the
-heap entry).  The two children of a node
-share that basis, so when the second is solved while the simplex still holds
-its sibling's factorization, it inverts nothing.
+Each node solves one LP, by the same simplex path.  The root starts from the
+slack basis.  Every child differs from its parent in one variable bound, so
+it continues from its parent's final tableau: it copies it and runs the dual
+phase, with no inversion.  The branching variable is basic in the parent, so
+the basic values carry over unchanged.
+
+The final tableaux of the nodes whose children are still open are kept up to
+a budget of 16 MiB (``_TABLEAU_BUDGET``).  When a new one would exceed it,
+the kept tableau of the open node with the lowest bound, which best-first
+search reaches last, is dropped; a child whose tableau was dropped inverts
+its parent's basis instead.
 
 Every solve presolves once, at the root: a row that holds over the whole box
 of variable bounds (its least and greatest activities, compared exactly with
 its right-hand side) is left out of every LP of the search.  Branching only
 tightens bounds, so such a row holds at every node.  The model itself, its
-LP export, and the incumbent checks keep every row.
+LP export, and the incumbent checks keep every row: the zero point, the warm
+start and every integral LP optimum must satisfy every row and bound before
+they are taken.
 
-:class:`SolveResult` reports the nodes (one LP each), simplex iterations,
-basis inversions, root bound and the rows kept by the presolve.  A node is
-pruned, and a solve is optimal, within a relative gap of 1e-6.  Models can
-be exported to and re-imported from the widely used CPLEX LP text format,
-and externally produced assignments can be validated and scored with
-:func:`import_solution`.
+:class:`SolveResult` reports the nodes (one LP each), how each LP started
+(cold, continued or inverted), simplex iterations, basis inversions, the
+most bytes of tableaux kept at once, the root bound and the rows kept by the
+presolve.  A node is pruned, and a solve is optimal, within a relative gap
+of 1e-6.  Models can be exported to and re-imported from the widely used
+CPLEX LP text format, and externally produced assignments can be validated
+and scored with :func:`import_solution`.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ import heapq
 import math
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,6 +48,8 @@ from .simplex import near_max, solve_lp
 _INT_TOL = 1e-6
 # Relative optimality gap at which a node is pruned and a solve is optimal.
 _GAP_TOLERANCE = 1e-6
+# Most bytes of final tableaux one solve keeps for the children of open nodes.
+_TABLEAU_BUDGET = 16 * 2**20
 
 
 @dataclass
@@ -58,6 +68,12 @@ class SolveResult:
     wall_time: float = 0.0
     iterations: int = 0  # simplex iterations over all LPs
     factorizations: int = 0  # basis inversions over all LPs
+    # How each LP started: from the slack basis, from its parent's final
+    # tableau, or by inverting its parent's basis.
+    cold_lps: int = 0
+    continued_lps: int = 0
+    inverted_lps: int = 0
+    tableau_bytes: int = 0  # most bytes of final tableaux kept at once
     # Objective of the root LP relaxation (-inf when it is infeasible, nan
     # when no LP was solved): the first upper bound of the search.
     root_bound: float = float("nan")
@@ -106,6 +122,44 @@ def _binding_rows(A, b, relations, lower, upper):
     return np.flatnonzero(~redundant)
 
 
+class _OpenParents:
+    """The optimal bases of the nodes whose children are still open, each
+    with its final tableau while the tableaux fit in ``budget`` bytes."""
+
+    def __init__(self, budget):
+        self.budget = budget
+        self.records = {}  # key -> [bound, basis, children not yet popped]
+        self.kept_bytes = self.peak_bytes = 0
+
+    @staticmethod
+    def _bytes(basis):
+        return 0 if basis.tableau is None else basis.tableau.nbytes
+
+    def add(self, key, bound, basis, children):
+        """Keep ``basis`` for the ``children`` of node ``key``, then drop the
+        tableaux of the lowest bounds (the oldest node first among equal
+        bounds) until the kept ones fit."""
+        self.records[key] = [bound, basis, children]
+        self.kept_bytes += self._bytes(basis)
+        while self.kept_bytes > self.budget:
+            victim = min((record[0], k) for k, record in self.records.items()
+                         if record[1].tableau is not None)[1]
+            record = self.records[victim]
+            self.kept_bytes -= self._bytes(record[1])
+            record[1] = replace(record[1], tableau=None)
+        self.peak_bytes = max(self.peak_bytes, self.kept_bytes)
+
+    def take(self, key):
+        """The basis a popped child of node ``key`` starts from.  The last
+        child to be popped releases it."""
+        record = self.records[key]
+        record[2] -= 1
+        if record[2] == 0:
+            del self.records[key]
+            self.kept_bytes -= self._bytes(record[1])
+        return record[1]
+
+
 def _feasible(A, b, relations, x, tol=1e-6):
     lhs = A @ x
     for value, rhs, rel in zip(lhs, b, relations):
@@ -136,21 +190,21 @@ def solve_model(model: MilpModel, config: SolverConfig | None = None,
     # Simplex minimizes; negate the (maximize) objective.
     c_min = -c
 
+    def admissible(x):
+        return (np.all(x >= lower - _INT_TOL) and np.all(x <= upper + _INT_TOL)
+                and _feasible(A, b, relations, x))
+
     incumbent = None
     incumbent_obj = -math.inf
     # The all-zero plan (reject every slice) is feasible by construction for
     # provisioning models; fall back to it whenever it checks out.
     zero = np.zeros(n)
-    if np.all(lower <= 1e-12) and _feasible(A, b, relations, zero):
+    if admissible(zero):
         incumbent = zero
         incumbent_obj = 0.0
     if warm_start is not None:
         x0 = np.array([float(warm_start.get(name, 0.0)) for name in names])
-        if (
-            np.all(x0 >= lower - _INT_TOL)
-            and np.all(x0 <= upper + _INT_TOL)
-            and _feasible(A, b, relations, x0)
-        ):
+        if admissible(x0):
             obj0 = float(c @ x0)
             if obj0 > incumbent_obj:
                 incumbent, incumbent_obj = x0, obj0
@@ -161,18 +215,20 @@ def solve_model(model: MilpModel, config: SolverConfig | None = None,
     counter = 0
     node_count = 0
     iterations = factorizations = 0
+    starts = dict(cold=0, continued=0, inverted=0)
     root_bound = math.nan
     best_bound = math.inf
     heap = []
+    parents = _OpenParents(_TABLEAU_BUDGET)
 
-    def push(bound, depth, lo, hi, basis):
+    def push(bound, depth, lo, hi, parent):
         nonlocal counter
-        heapq.heappush(heap, (-bound, -depth, counter, lo, hi, basis))
+        heapq.heappush(heap, (-bound, -depth, counter, lo, hi, parent))
         counter += 1
 
-    # The root is the first node popped; it has no parent basis, so its LP
-    # starts from the slack basis.  Every child re-solves from its parent's
-    # optimal basis.
+    # The root is the first node popped; it has no parent, so its LP starts
+    # from the slack basis.  Every child re-solves from its parent's basis,
+    # kept in ``parents`` under the parent's node number.
     push(math.inf, 0, lower, upper, None)
 
     hit_limit = False
@@ -180,16 +236,18 @@ def solve_model(model: MilpModel, config: SolverConfig | None = None,
         if out_of_time() or (config.node_limit is not None and node_count >= config.node_limit):
             hit_limit = True
             break
-        neg_bound, neg_depth, _, lo, hi, parent_basis = heapq.heappop(heap)
+        neg_bound, neg_depth, _, lo, hi, parent = heapq.heappop(heap)
+        basis = None if parent is None else parents.take(parent)
         bound = -neg_bound
         depth = -neg_depth
         tol_abs = _GAP_TOLERANCE * max(1.0, abs(incumbent_obj))
         if bound <= incumbent_obj + tol_abs:
             continue
-        res = solve_lp(A_lp, b_lp, relations_lp, c_min, lo, hi, basis=parent_basis)
+        res = solve_lp(A_lp, b_lp, relations_lp, c_min, lo, hi, basis=basis)
         node_count += 1
         iterations += res.iterations
         factorizations += res.factorizations
+        starts[res.start] += 1
         if node_count == 1:  # bounded variables: optimal or infeasible
             root_bound = -res.objective if res.status == "optimal" else -math.inf
         if res.status != "optimal":
@@ -203,7 +261,7 @@ def solve_model(model: MilpModel, config: SolverConfig | None = None,
         if fractional.size == 0:
             x_int = np.round(x)
             obj = float(c @ x_int)
-            if obj > incumbent_obj:
+            if obj > incumbent_obj and admissible(x_int):
                 incumbent, incumbent_obj = x_int, obj
             continue
         # Branch on fixed-charge / acceptance binaries before instance
@@ -230,8 +288,10 @@ def solve_model(model: MilpModel, config: SolverConfig | None = None,
             children.append((lo_child, hi))
         if x[j] - floor_v >= 0.5:
             children.reverse()  # explore the rounding direction first
+        if children:
+            parents.add(node_count, bound, res.basis, len(children))
         for lo_c, hi_c in children:
-            push(bound, depth + 1, lo_c, hi_c, res.basis)
+            push(bound, depth + 1, lo_c, hi_c, node_count)
 
     if heap:
         best_bound = max(-item[0] for item in heap)
@@ -240,7 +300,9 @@ def solve_model(model: MilpModel, config: SolverConfig | None = None,
 
     wall = time.monotonic() - start
     counts = dict(node_count=node_count, wall_time=wall, iterations=iterations,
-                  factorizations=factorizations, root_bound=root_bound,
+                  factorizations=factorizations, cold_lps=starts["cold"],
+                  continued_lps=starts["continued"], inverted_lps=starts["inverted"],
+                  tableau_bytes=parents.peak_bytes, root_bound=root_bound,
                   lp_rows=len(rows))
     if incumbent is None:
         status = "timeout" if hit_limit else "infeasible"

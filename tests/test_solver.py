@@ -1,4 +1,6 @@
 import dataclasses
+import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -284,28 +286,48 @@ def test_slack_start_inverts_nothing(count_inversions):
     lower, upper = np.zeros(3), np.array([INF, 2.0, INF])
     res = solve_lp(A, b, relations, c, lower, upper)
     _check_against_reference(res, A, b, relations, c, lower, upper, "slack start")
-    assert count_inversions == [] and res.factorizations == 0
+    assert count_inversions == [] and res.factorizations == 0 and res.start == "cold"
     # A singular warm basis is inverted once, then the slack start takes over.
     singular = Basis(basic=np.array([0, 0, 1]), status=res.basis.status)
     warm = solve_lp(A, b, relations, c, lower, upper, basis=singular)
-    assert len(count_inversions) == warm.factorizations == 1
+    assert len(count_inversions) == warm.factorizations == 1 and warm.start == "cold"
     assert warm.objective == pytest.approx(res.objective, abs=1e-9)
 
 
-def test_siblings_share_one_inversion(count_inversions):
+def test_siblings_continue_from_their_parents_tableau(count_inversions):
     A, b, relations, c, lower, upper = _mixed_lp()
     parent = solve_lp(A, b, relations, c, lower, upper)
-    assert parent.factorizations == 0
-    simplex_module._last_factor = None
+    assert parent.start == "cold" and parent.basis.tableau is not None
+    final = parent.basis.tableau.T.copy()
     children = [(lower, np.array([2.0, INF, INF])), (np.array([3.0, 0.0, 0.0]), upper)]
     results = [solve_lp(A, b, relations, c, lo, hi, basis=parent.basis) for lo, hi in children]
-    assert [r.factorizations for r in results] == [1, 0]
-    assert len(count_inversions) == 1
+    assert [(r.start, r.factorizations) for r in results] == [("continued", 0)] * 2
+    assert count_inversions == []
+    # Each child pivots on a copy: the parent's tableau is left as it was.
+    assert np.array_equal(parent.basis.tableau.T, final)
+    # Without the tableau, each child inverts the parent's basis instead,
+    # and reaches the same optimum.
+    bare = replace(parent.basis, tableau=None)
     for (lo, hi), res in zip(children, results):
-        simplex_module._last_factor = None
-        fresh = solve_lp(A, b, relations, c, lo, hi, basis=parent.basis)
-        assert fresh.factorizations == 1
-        _assert_same_lp_result(res, fresh)
+        _check_against_reference(res, A, b, relations, c, lo, hi, "continued")
+        inverted = solve_lp(A, b, relations, c, lo, hi, basis=bare)
+        assert (inverted.start, inverted.factorizations) == ("inverted", 1)
+        assert inverted.status == res.status == "optimal"
+        assert inverted.objective == pytest.approx(res.objective, abs=1e-9)
+    assert len(count_inversions) == 2
+
+
+def test_a_continued_child_moves_its_basic_values_with_a_nonbasic_bound():
+    # max x + 2y s.t. x + y <= 4, x <= 3, y <= 2.5: y is nonbasic at its
+    # upper bound, and x = 1.5 is basic.  Lowering y's bound to 2 moves x to
+    # 2, which stays feasible, so the child needs no pivot, only the last
+    # pricing.
+    A, b, c = np.array([[1.0, 1.0]]), np.array([4.0]), np.array([-1.0, -2.0])
+    parent = solve_lp(A, b, ["<="], c, np.zeros(2), np.array([3.0, 2.5]))
+    assert list(parent.x) == [1.5, 2.5] and list(parent.basis.basic) == [0]
+    child = solve_lp(A, b, ["<="], c, np.zeros(2), np.array([3.0, 2.0]), basis=parent.basis)
+    assert child.start == "continued" and child.iterations == 1
+    assert list(child.x) == [2.0, 2.0] and child.objective == -6.0
 
 
 def _mixed_lp():
@@ -316,42 +338,22 @@ def _mixed_lp():
     return A, b, relations, c, np.zeros(3), np.full(3, INF)
 
 
-def _assert_same_lp_result(ours, reference):
-    assert ours.status == reference.status
-    assert ours.iterations == reference.iterations
-    assert ours.objective == reference.objective or (
-        np.isnan(ours.objective) and np.isnan(reference.objective))
-    if reference.x is None:
-        assert ours.x is None
-        return
-    assert np.array_equal(ours.x, reference.x)
-    assert np.array_equal(ours.basis.basic, reference.basis.basic)
-    assert np.array_equal(ours.basis.status, reference.basis.status)
-
-
 @pytest.mark.parametrize("change", ["matrix", "relations"])
 def test_a_basis_reused_on_another_lp_is_factorized_again(change):
-    # One Basis object on two LPs of the same shape: the second solve must
-    # not start from the first one's factorization.
+    # One Basis, without the tableau of the solve that found it, on two LPs
+    # of the same shape: each solve inverts it over its own columns.
     A, b, relations, c, lower, upper = _mixed_lp()
-    basis = solve_lp(A, b, relations, c, lower, upper).basis
+    basis = replace(solve_lp(A, b, relations, c, lower, upper).basis, tableau=None)
     assert sorted(basis.basic) != [3, 4, 5]  # not the slack basis
     other_A, other_relations = A.copy(), list(relations)
     if change == "matrix":
         other_A[0, basis.basic[basis.basic < 3][0]] = 3.0
     else:
         other_relations[2] = ">="
-    lp = (A, b, relations, c, lower, upper)
-    other = (other_A, b, other_relations, c, lower, upper)
-    for first, second in ((lp, other), (other, lp)):
-        simplex_module._last_factor = None
-        solve_lp(*first, basis=basis)
-        res = solve_lp(*second, basis=basis)
+    for lp in ((A, b, relations, c, lower, upper), (other_A, b, other_relations, c, lower, upper)):
+        res = solve_lp(*lp, basis=basis)
         assert res.factorizations == 1
-        simplex_module._last_factor = None
-        fresh = solve_lp(*second, basis=Basis(basic=basis.basic.copy(),
-                                              status=basis.status.copy()))
-        _assert_same_lp_result(res, fresh)
+        _check_against_reference(res, *lp, change)
 
 
 # ---------------------------------------------------------------------------
@@ -428,15 +430,30 @@ def test_bnb_solves_each_node_lp_once(monkeypatch, make_model):
     assert res.status == "optimal"
     assert len(calls) == res.node_count
     # No node (the root included) is solved twice; only the root is solved
-    # cold, every child starts from its parent's basis.
+    # cold, every child continues from its parent's final tableau.
     assert len({bounds for bounds, _ in calls}) == len(calls)
     assert calls[0][1] is None
-    assert all(basis is not None for _, basis in calls[1:])
+    assert all(basis.tableau is not None for _, basis in calls[1:])
+    assert (res.cold_lps, res.continued_lps, res.inverted_lps) == (1, len(calls) - 1, 0)
+    assert res.factorizations == 0
 
     calls.clear()
     res = solve_model(make_model(), SolverConfig(node_limit=1))
     assert len(calls) == res.node_count == 1
     assert res.assignment
+
+
+def test_an_integral_lp_point_that_breaks_a_row_is_not_taken(monkeypatch):
+    # The LP "optimum" takes every item, 12 units of weight against a
+    # capacity of 10: integral, so no branch follows, but not a plan.
+    def lying_solve_lp(A, b, relations, c, lower, upper, **kwargs):
+        x = np.ones(len(c))
+        return simplex_module.LpResult(status="optimal", objective=float(c @ x), x=x)
+
+    monkeypatch.setattr(solver_module, "solve_lp", lying_solve_lp)
+    res = solve_model(_knapsack_model())
+    assert res.node_count == 1
+    assert res.assignment == {"x1": 0, "x2": 0, "x3": 0} and res.objective == 0.0
 
 
 def _provisioning_model(slices, variant):
@@ -455,43 +472,79 @@ def _provisioning_model(slices, variant):
     return planner.joint_model(specs, graph, planner.variant_from_name(variant), background)
 
 
-@pytest.mark.parametrize(
+_PROVISIONING_MODELS = pytest.mark.parametrize(
     "slices, variant",
     [((("type1", 30),), "SP-B"), ((("type1", 50), ("type2", 200)), "JP")],
     ids=["SP-B", "JP"],
 )
-def test_reused_factorizations_give_the_same_search(monkeypatch, slices, variant):
+
+
+@_PROVISIONING_MODELS
+def test_each_child_continues_from_its_parents_tableau(monkeypatch, count_inversions,
+                                                       slices, variant):
     model = _provisioning_model(slices, variant)
+    lps = []
 
-    def solve(reuse):
-        lps = []
+    def recording_solve_lp(*args, **kwargs):
+        res = solve_lp(*args, **kwargs)
+        lps.append((res.iterations, res.start))
+        return res
 
-        def recording_solve_lp(*args, **kwargs):
-            if not reuse:
-                monkeypatch.setattr(simplex_module, "_last_factor", None)
-            res = solve_lp(*args, **kwargs)
-            lps.append((res.iterations, res.factorizations, kwargs.get("basis") is None))
-            return res
+    monkeypatch.setattr(solver_module, "solve_lp", recording_solve_lp)
+    res = solve_model(model)
+    assert res.status == "optimal" and len(lps) == res.node_count > 1
+    assert res.iterations == sum(it for it, _ in lps)
+    assert [start for _, start in lps] == ["cold"] + ["continued"] * (len(lps) - 1)
+    assert (res.cold_lps, res.continued_lps, res.inverted_lps) == (1, len(lps) - 1, 0)
+    assert res.factorizations == 0 and count_inversions == []
+    assert 0 < res.tableau_bytes <= solver_module._TABLEAU_BUDGET
 
-        monkeypatch.setattr(solver_module, "solve_lp", recording_solve_lp)
-        simplex_module._last_factor = None
-        return solve_model(model), lps
 
-    shared, shared_lps = solve(reuse=True)
-    alone, alone_lps = solve(reuse=False)
-    assert shared.status == alone.status == "optimal"
-    assert shared.objective == alone.objective
-    assert shared.assignment == alone.assignment
-    assert shared.node_count == alone.node_count
-    assert [it for it, _, _ in shared_lps] == [it for it, _, _ in alone_lps]
-    for res, lps in ((shared, shared_lps), (alone, alone_lps)):
-        assert len(lps) == res.node_count
-        assert res.iterations == sum(it for it, _, _ in lps)
-        assert res.factorizations == sum(f for _, f, _ in lps)
-    # Without reuse every warm LP inverts its basis; the root inverts none.
-    assert [f for _, f, _ in alone_lps] == [int(not cold) for _, _, cold in alone_lps]
-    assert alone_lps[0][1:] == (0, True)
-    assert shared.factorizations < alone.factorizations
+@_PROVISIONING_MODELS
+def test_children_that_invert_reach_the_same_optimum(monkeypatch, slices, variant):
+    model = _provisioning_model(slices, variant)
+    continued = solve_model(model)
+    # With no room for a tableau, every child inverts its parent's basis.
+    monkeypatch.setattr(solver_module, "_TABLEAU_BUDGET", 0)
+    inverted = solve_model(model)
+    assert (inverted.cold_lps, inverted.continued_lps) == (1, 0)
+    assert inverted.inverted_lps == inverted.factorizations == inverted.node_count - 1
+    assert inverted.tableau_bytes == 0
+    assert continued.status == inverted.status == "optimal"
+    assert inverted.objective == pytest.approx(continued.objective, rel=1e-12)
+    for res in (continued, inverted):
+        assert import_solution(model, res.assignment) == pytest.approx(res.objective, rel=1e-12)
+
+
+def test_kept_tableaux_stay_within_the_budget(monkeypatch):
+    model = _provisioning_model((("type1", 50),), "SP-B")
+    free = solve_model(model)
+    # Room for two tableaux, fewer than the search keeps at once.
+    rows, columns = free.lp_rows, len(model.variables) + free.lp_rows
+    budget = 2 * 8 * (rows + 1) * columns
+    assert free.tableau_bytes > budget
+    monkeypatch.setattr(solver_module, "_TABLEAU_BUDGET", budget)
+    # Every tableau a solve returned that is still alive when the next LP
+    # starts, apart from the one that LP continues from and the last one
+    # returned, which the search still holds, is one the search keeps.
+    tableaux, most = [], [0]
+
+    def recording_solve_lp(*args, basis=None):
+        current = None if basis is None else basis.tableau
+        alive = [ref() for ref in tableaux[:-1]]
+        most[0] = max(most[0], sum(t.nbytes for t in alive
+                                   if t is not None and t is not current))
+        res = solve_lp(*args, basis=basis)
+        if res.basis is not None:
+            tableaux.append(weakref.ref(res.basis.tableau))
+        return res
+
+    monkeypatch.setattr(solver_module, "solve_lp", recording_solve_lp)
+    bounded = solve_model(model)
+    assert 0 < most[0] <= bounded.tableau_bytes <= budget
+    assert bounded.inverted_lps > 0 and bounded.continued_lps > 0
+    assert bounded.objective == pytest.approx(free.objective, rel=1e-12)
+    assert import_solution(model, bounded.assignment) == pytest.approx(bounded.objective)
 
 
 def test_bnb_node_limit_reports_gap():

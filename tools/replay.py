@@ -21,8 +21,9 @@ Comparing a change with its parent is a diff of two runs:
     python3 tools/replay.py --src PARENT_CHECKOUT/src > parent.txt
     diff parent.txt change.txt
 
-Basis inversions, which are not part of the digest, go to standard error
-when the solve results report them.
+Basis inversions and the starts of the LPs (cold, continued from the
+parent's tableau, or inverted), which are not part of the digest, go to
+standard error when the solve results report them.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("calibrate", "sequential", "joint")
 VARIANTS = ("SP", "SP-B", "JP", "JP-B")
+# SolveResult counts reported on standard error, where a checkout has them.
+SIDE_COUNTS = ("factorizations", "cold_lps", "continued_lps", "inverted_lps")
 
 
 def _seeds(text):
@@ -90,7 +93,8 @@ def replay(workload, seed, planner, recorder, bench_inputs, details):
         for name in VARIANTS
     }
     digest = hashlib.sha256()
-    solves = nodes = lps = iterations = inversions = 0
+    solves = nodes = lps = iterations = 0
+    side = dict.fromkeys(SIDE_COUNTS, 0)
     for request in data.requests:
         recorder.solves.clear()
         plan = planner.provision(list(request.specs), data.graph, variants[request.variant],
@@ -105,11 +109,12 @@ def replay(workload, seed, planner, recorder, bench_inputs, details):
         nodes += sum(r[2] for r in records)
         lps += sum(r[3] for r in records)
         iterations += sum(r[4] for r in records)
-        inversions += sum(getattr(res, "factorizations", 0) for _, res, _ in recorder.solves)
+        for name in side:
+            side[name] += sum(getattr(res, name, 0) for _, res, _ in recorder.solves)
     print(f"{workload} seed {seed}: requests {len(data.requests)}, solves {solves}, "
           f"nodes {nodes}, lps {lps}, iterations {iterations}, "
           f"digest {digest.hexdigest()[:16]}", flush=True)
-    return inversions
+    return side
 
 
 def main(argv=None):
@@ -138,11 +143,18 @@ def main(argv=None):
 
     recorder = Recorder(planner, solver, solver.export_lp)
     for workload in workloads:
-        total = sum(replay(workload, seed, planner, recorder, bench_inputs, args.details)
-                    for seed in args.seeds)
+        total = dict.fromkeys(SIDE_COUNTS, 0)
+        for seed in args.seeds:
+            for name, count in replay(workload, seed, planner, recorder, bench_inputs,
+                                      args.details).items():
+                total[name] += count
+        seeds = f"over seeds {args.seeds.start}-{args.seeds.stop - 1}"
         if hasattr(solver.SolveResult, "factorizations"):
-            print(f"{workload}: {total} basis inversions over seeds "
-                  f"{args.seeds.start}-{args.seeds.stop - 1}", file=sys.stderr)
+            print(f"{workload}: {total['factorizations']} basis inversions {seeds}",
+                  file=sys.stderr)
+        if hasattr(solver.SolveResult, "continued_lps"):
+            print(f"{workload}: LPs {total['cold_lps']} cold, {total['continued_lps']} "
+                  f"continued, {total['inverted_lps']} inverted {seeds}", file=sys.stderr)
     return 0
 
 
